@@ -1,8 +1,8 @@
 """Exact detection and verification of polynomial first integrals of the
 Bianchi class A cosmological systems."""
 
-from .coefficients import KPoly, Rational, parse_rational
-from .multipoly import MultiPoly, parse_poly
+from .coefficients import KPoly
+from .multipoly import MultiPoly
 from .vectorfields import (
     BianchiModel,
     VectorField,
@@ -32,7 +32,6 @@ __all__ = [
     "KPoly",
     "MultiPoly",
     "NullspaceBasis",
-    "Rational",
     "VectorField",
     "WeightedPowerIntegral",
     "build_F",
@@ -45,8 +44,6 @@ __all__ = [
     "lemma_dificil_solve",
     "lemma_estrella_solve",
     "lie_derivative",
-    "parse_poly",
-    "parse_rational",
     "polynomial_integrals",
     "sn_recursion_check",
     "verify_weighted_power_integral",

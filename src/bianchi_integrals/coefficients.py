@@ -9,20 +9,7 @@ coefficient ring used when identities must hold for every k at once.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
-
-Rational = Fraction
-
-Scalar = Union[int, Fraction, "KPoly"]
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" (ASCII, no whitespace)."""
-    return Fraction(text)
-
-
-def format_rational(value: Fraction) -> str:
-    return str(value)
+from typing import Iterable
 
 
 class KPoly:
@@ -49,22 +36,10 @@ class KPoly:
     def zero(cls) -> "KPoly":
         return cls()
 
-    @classmethod
-    def k(cls) -> "KPoly":
-        return cls((Fraction(0), Fraction(1)))
-
     @property
     def degree(self) -> int:
         """Degree with the convention deg 0 = -1."""
         return len(self.coeffs) - 1
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("KPoly is not constant: %s" % self)
-        return self.coeffs[0] if self.coeffs else Fraction(0)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -153,10 +128,6 @@ def _coerce(value):
     if isinstance(value, (int, Fraction)):
         return KPoly((Fraction(value),))
     return NotImplemented
-
-
-def kpoly_eval(p: KPoly, kval: Fraction) -> Fraction:
-    return p(kval)
 
 
 # (k - 1)/4 and (k - 1)/2, the two k-coefficients the Bianchi build needs.

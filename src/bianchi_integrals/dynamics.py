@@ -8,14 +8,14 @@ return the partial trajectory with a status instead of raising.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .multipoly import MultiPoly
-from .vectorfields import BianchiModel, build_F
+from .vectorfields import NVARS, BianchiModel, build_bianchi, build_F
 
 
 class DomainError(ValueError):
@@ -50,26 +50,29 @@ class Trajectory:
         return self.status == "completed"
 
 
-def rhs(n: Tuple[int, int, int], k: float, x: Sequence[float]) -> np.ndarray:
-    """Componentwise float evaluation of the quadratic system."""
-    n1, n2, n3 = n
-    x1, x2, x3, x4, x5, x6 = x
-    F = (
-        n1 * n1 * x1 * x1 + n2 * n2 * x2 * x2 + n3 * n3 * x3 * x3
-        - 2 * n1 * n2 * x1 * x2 - 2 * n1 * n3 * x1 * x3 - 2 * n2 * n3 * x2 * x3
-        + x4 * x4 + x5 * x5 + x6 * x6 - 2 * x4 * x5 - 2 * x4 * x6 - 2 * x5 * x6
-    )
-    q = 0.25 * (k - 1.0) * F
-    return np.array(
-        [
-            x1 * (-x4 + x5 + x6),
-            x2 * (x4 - x5 + x6),
-            x3 * (x4 + x5 - x6),
-            n1 * x1 * (n1 * x1 - n2 * x2 - n3 * x3) + q,
-            n2 * x2 * (-n1 * x1 + n2 * x2 - n3 * x3) + q,
-            n3 * x3 * (-n1 * x1 - n2 * x2 + n3 * x3) + q,
-        ]
-    )
+# Index pairs (i, j), i <= j, of the 21 quadratic monomials x_i * x_j.
+_PAIRS = [(i, j) for i in range(NVARS) for j in range(i, NVARS)]
+_I, _J = np.array(_PAIRS).T
+
+
+def coefficient_matrix(model: BianchiModel, k: float) -> np.ndarray:
+    """The 6x21 float matrix C with X(x) = C @ (x_i * x_j for i <= j).
+
+    Read off the symbolic-k build of the model, each KPoly coefficient
+    evaluated at the float k.
+    """
+    X = build_bianchi(BianchiModel(model.tag, model.n, None))
+    C = np.zeros((NVARS, len(_PAIRS)))
+    for row, comp in enumerate(X.components):
+        for mono, coeff in comp.terms.items():
+            pair = tuple(v for v, e in enumerate(mono) for _ in range(e))
+            C[row, _PAIRS.index(pair)] = float(coeff(k))
+    return C
+
+
+def rhs(C: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Float evaluation of the quadratic system with coefficient matrix C."""
+    return C @ (x[_I] * x[_J])
 
 
 # Dormand-Prince 5(4) tableau.
@@ -94,6 +97,14 @@ _ALPHA = 0.7 / 5.0
 _BETA = 0.4 / 5.0
 
 
+def _float_k(model: BianchiModel, k: Optional[float]) -> float:
+    if k is not None:
+        return k
+    if model.k is None:
+        raise ValueError("symbolic-k model needs an explicit float k")
+    return float(model.k)
+
+
 def integrate(
     model: BianchiModel,
     x0: Sequence[float],
@@ -101,11 +112,7 @@ def integrate(
     k: Optional[float] = None,
 ) -> Trajectory:
     """Adaptive RK5(4) orbit from t=0 to cfg.t_end; keeps every accepted step."""
-    if k is None:
-        if model.k is None:
-            raise ValueError("symbolic-k model needs an explicit float k")
-        k = float(model.k)
-    f = lambda x: rhs(model.n, k, x)
+    C = coefficient_matrix(model, _float_k(model, k))
     t = 0.0
     y = np.array([float(v) for v in x0])
     ts = [t]
@@ -115,7 +122,7 @@ def integrate(
     accepted = 0
     rejected = 0
     status = "completed"
-    k1 = f(y)
+    k1 = rhs(C, y)
     while t < cfg.t_end:
         if accepted + rejected >= cfg.max_steps:
             status = "max_steps"
@@ -127,7 +134,7 @@ def integrate(
         stages = [k1]
         for s in range(1, 7):
             yi = y + h * sum(a * ki for a, ki in zip(_A[s], stages))
-            stages.append(f(yi))
+            stages.append(rhs(C, yi))
         y5 = y + h * sum(b * ki for b, ki in zip(_B5, stages))
         y4 = y + h * sum(b * ki for b, ki in zip(_B4, stages))
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
@@ -162,14 +169,9 @@ def poly_invariant(p: MultiPoly, k: Optional[Fraction] = None) -> Invariant:
     return fn
 
 
-def _quadratic_form(n: Tuple[int, int, int]) -> Invariant:
-    F = build_F(*n)
-    return poly_invariant(F)
-
-
 def energy_invariant(n: Tuple[int, int, int], k: float) -> Invariant:
     """(x1 x2 x3)^((k-1)/2) * F; defined where x1 x2 x3 > 0."""
-    Ffn = _quadratic_form(n)
+    Ffn = poly_invariant(build_F(*n))
 
     def fn(x):
         w = x[0] * x[1] * x[2]
@@ -198,49 +200,32 @@ def _ratio(x) -> float:
     return num / den
 
 
-def transcendental_invariant_12(k: float) -> Invariant:
-    """(x1/x2)^((1-k)/2) * R^((x4-x5)/sqrt(D)) for the type I system."""
+def transcendental_invariant(k: float, i: int, j: int) -> Invariant:
+    """(x_i/x_j)^((1-k)/2) * R^((x_{i+3}-x_{j+3})/sqrt(D)) for the type I
+    system, with 0-based coordinate indices i, j in {0, 1, 2}."""
 
     def fn(x):
-        base = x[0] / x[1]
+        base = x[i] / x[j]
         if base <= 0:
-            raise DomainError("x1/x2 <= 0")
+            raise DomainError("x%d/x%d <= 0" % (i + 1, j + 1))
         d = _delta(x)
         if d <= 0:
             raise DomainError("degenerate discriminant")
-        return base ** ((1 - k) / 2) * _ratio(x) ** ((x[3] - x[4]) / math.sqrt(d))
-
-    return fn
-
-
-def transcendental_invariant_23(k: float) -> Invariant:
-    """(x2/x3)^((1-k)/2) * R^((x5-x6)/sqrt(D)) for the type I system."""
-
-    def fn(x):
-        base = x[1] / x[2]
-        if base <= 0:
-            raise DomainError("x2/x3 <= 0")
-        d = _delta(x)
-        if d <= 0:
-            raise DomainError("degenerate discriminant")
-        return base ** ((1 - k) / 2) * _ratio(x) ** ((x[4] - x[5]) / math.sqrt(d))
+        return base ** ((1 - k) / 2) * _ratio(x) ** ((x[i + 3] - x[j + 3]) / math.sqrt(d))
 
     return fn
 
 
 def standard_invariants(model: BianchiModel, k: Optional[float] = None) -> Dict[str, Invariant]:
     """The monitored invariants for a model, in report order."""
-    if k is None:
-        if model.k is None:
-            raise ValueError("symbolic-k model needs an explicit float k")
-        k = float(model.k)
+    k = _float_k(model, k)
     x = [MultiPoly.variable(6, i) for i in range(6)]
     out: Dict[str, Invariant] = {}
     if model.tag == "I":
         out["x4-x5"] = poly_invariant(x[3] - x[4])
         out["x4-x6"] = poly_invariant(x[3] - x[5])
-        out["trans(x1/x2)"] = transcendental_invariant_12(k)
-        out["trans(x2/x3)"] = transcendental_invariant_23(k)
+        for i, j in ((0, 1), (1, 2)):
+            out["trans(x%d/x%d)" % (i + 1, j + 1)] = transcendental_invariant(k, i, j)
     elif model.tag == "II":
         out["x5-x6"] = poly_invariant(x[4] - x[5])
     out["H"] = energy_invariant(model.n, k)

@@ -9,7 +9,7 @@ expected dimensions per model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -50,12 +50,6 @@ def enumerate_monomials(nvars: int, degree: int) -> List[Monomial]:
                 yield (e,) + rest
 
     return list(gen(nvars, degree))
-
-
-@dataclass(frozen=True)
-class AnsatzBasis:
-    degree: int
-    monomials: Tuple[Monomial, ...]
 
 
 @dataclass
@@ -345,6 +339,17 @@ def _kernel_of_linear_map(images: List[MultiPoly]) -> Tuple[List[Tuple[Fraction,
     return sparse_kernel_basis([rowmap[k] for k in keys], len(images))
 
 
+def _transport_images(linear: MultiPoly, k: Fraction, monos: List[Monomial]) -> List[MultiPoly]:
+    """linear * g + (k-1)/4 F123 (g_4 + g_5 + g_6) for each monomial g."""
+    cf = (Fraction(k) - 1) / 4
+    F123 = _f123()
+    images = []
+    for mono in monos:
+        g = MultiPoly.from_monomial(3, mono)
+        images.append(linear * g + cf * (F123 * _sum_partials(g)))
+    return images
+
+
 def lemma_estrella_solve(
     a1: Fraction, a2: Fraction, a3: Fraction, k: Fraction, m: int
 ) -> NullspaceBasis:
@@ -355,14 +360,8 @@ def lemma_estrella_solve(
     if m < 0:
         raise ValueError("degree must be >= 0")
     y = [MultiPoly.variable(3, i) for i in range(3)]
-    linear = a1 * y[0] + a2 * y[1] + a3 * y[2]
-    cf = (Fraction(k) - 1) / 4
-    F123 = _f123()
     monos = enumerate_monomials(3, m)
-    images = []
-    for mono in monos:
-        g = MultiPoly.from_monomial(3, mono)
-        images.append(linear * g + cf * (F123 * _sum_partials(g)))
+    images = _transport_images(a1 * y[0] + a2 * y[1] + a3 * y[2], k, monos)
     vectors, _ = _kernel_of_linear_map(images)
     polys = [_vector_to_poly(v, monos) for v in vectors]
     return NullspaceBasis(vectors, polys)
@@ -396,14 +395,8 @@ def lemma_dificil_solve(k: Fraction, n: int) -> DificilSolution:
     y = [MultiPoly.variable(3, i) for i in range(3)]
     u = y[0] - y[1]  # x4 - x5
     v = y[0] - y[2]  # x4 - x6
-    cf = (Fraction(k) - 1) / 4
-    F123 = _f123()
-    linear = 2 * (y[0] - y[1] + y[2])
     g_monos = enumerate_monomials(3, n - 2)
-    images = []
-    for mono in g_monos:
-        g = MultiPoly.from_monomial(3, mono)
-        images.append(linear * g + cf * (F123 * _sum_partials(g)))
+    images = _transport_images(2 * (y[0] - y[1] + y[2]), k, g_monos)
     for i in range(n + 1):
         h_i = (u ** i) * (v ** (n - i))
         images.append(h_i.partial_derivative(1))

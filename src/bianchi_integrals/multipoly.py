@@ -8,7 +8,6 @@ hashing and report output are deterministic.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -101,9 +100,6 @@ class MultiPoly:
         if not self.terms:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.terms[max(self.terms, key=monomial_key)]
-
-    def coefficient(self, mono: Monomial):
-        return self.terms.get(tuple(mono), Fraction(0))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
@@ -234,26 +230,6 @@ class MultiPoly:
                     out += MultiPoly(self.nvars, {flat: scaled})
         return out
 
-    def lemma1_split(self, var_index: int, value=Fraction(0)) -> Tuple["MultiPoly", "MultiPoly"]:
-        """Write self = f_l + (x_l - c0) * g with f_l free of x_l.
-
-        g is produced by exact synthetic division: each term c*x_l^d
-        contributes c * sum_j c0^(d-1-j) x_l^j.
-        """
-        c0 = Fraction(value)
-        f_l = self.restrict(var_index, c0)
-        g = MultiPoly.zero(self.nvars)
-        for mono, coeff in self.terms.items():
-            d = mono[var_index]
-            if d == 0:
-                continue
-            for j in range(d):
-                factor = coeff * (c0 ** (d - 1 - j))
-                if factor:
-                    m = mono[:var_index] + (j,) + mono[var_index + 1:]
-                    g += MultiPoly(self.nvars, {m: factor})
-        return f_l, g
-
     def homogeneous_components(self) -> List["MultiPoly"]:
         """Split into homogeneous parts, ascending in degree; [] for 0."""
         buckets: Dict[int, Dict[Monomial, object]] = {}
@@ -322,37 +298,3 @@ class MultiPoly:
     def __repr__(self) -> str:
         return "MultiPoly(%d, %s)" % (self.nvars, self.to_text())
 
-
-_TERM_RE = re.compile(r"\s*([+-])?\s*([^+-]+)")
-_FACTOR_RE = re.compile(r"^(?:(\d+(?:/\d+)?)|x(\d+)(?:\^(\d+))?)$")
-
-
-def parse_poly(text: str, nvars: int) -> MultiPoly:
-    """Parse the canonical text form, e.g. "5/2*x1^2*x4 - x5*x6"."""
-    text = text.strip().replace("−", "-")
-    if text in ("", "0"):
-        return MultiPoly.zero(nvars)
-    result = MultiPoly.zero(nvars)
-    pos = 0
-    while pos < len(text):
-        match = _TERM_RE.match(text, pos)
-        if not match or not match.group(2).strip():
-            raise ValueError("cannot parse polynomial text at %r" % text[pos:])
-        sign = -1 if match.group(1) == "-" else 1
-        coeff = Fraction(sign)
-        mono = [0] * nvars
-        for factor in match.group(2).strip().split("*"):
-            factor = factor.strip()
-            fm = _FACTOR_RE.match(factor)
-            if not fm:
-                raise ValueError("bad factor %r in polynomial text" % factor)
-            if fm.group(1) is not None:
-                coeff *= Fraction(fm.group(1))
-            else:
-                index = int(fm.group(2)) - 1
-                if not 0 <= index < nvars:
-                    raise ValueError("variable x%s out of range" % fm.group(2))
-                mono[index] += int(fm.group(3)) if fm.group(3) else 1
-        result += MultiPoly(nvars, {tuple(mono): coeff})
-        pos = match.end()
-    return result

@@ -7,7 +7,7 @@ fixed rational k or with symbolic-k (KPoly) coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -51,9 +51,7 @@ class BianchiModel:
 
     @classmethod
     def from_tag(cls, tag: str, k: Optional[Fraction] = Fraction(1, 2)) -> "BianchiModel":
-        if tag not in BIANCHI_TABLE:
-            raise ValueError("unknown Bianchi tag %r" % (tag,))
-        return cls(tag, BIANCHI_TABLE[tag], k)
+        return cls(tag, BIANCHI_TABLE.get(tag), k)
 
     @property
     def symbolic(self) -> bool:
@@ -68,15 +66,10 @@ class VectorField:
     """Polynomial vector field; component i is the i-th right-hand side."""
 
     components: Tuple[MultiPoly, ...]
-    symbolic: bool = False
-    model: Optional[BianchiModel] = None
 
     @property
     def nvars(self) -> int:
         return self.components[0].nvars
-
-    def scaled(self, factor) -> "VectorField":
-        return VectorField(tuple(c * factor for c in self.components), self.symbolic, None)
 
 
 def build_F(n1: int, n2: int, n3: int) -> MultiPoly:
@@ -121,7 +114,7 @@ def build_bianchi(model: BianchiModel) -> VectorField:
             c.map_coefficients(lambda v: v if isinstance(v, KPoly) else KPoly.constant(v))
             for c in comps
         ]
-    return VectorField(tuple(comps), model.symbolic, model)
+    return VectorField(tuple(comps))
 
 
 def lie_derivative(X: VectorField, p: MultiPoly) -> MultiPoly:
@@ -207,11 +200,7 @@ def polynomial_integrals(tag: str) -> Tuple[MultiPoly, ...]:
 
 def restricted_field(X: VectorField, var_index: int) -> VectorField:
     """The system on the invariant hyperplane x[var_index] = 0."""
-    return VectorField(
-        tuple(c.restrict(var_index, Fraction(0)) for c in X.components),
-        X.symbolic,
-        None,
-    )
+    return VectorField(tuple(c.restrict(var_index, Fraction(0)) for c in X.components))
 
 
 # -- Hamiltonian coordinate map -----------------------------------------------

@@ -99,8 +99,8 @@ def test_criterion_3_bianchi_I_kernel_and_rank(capsys):
         x[3] - x[4],
         x[3] - x[5],
         dynamics.energy_invariant((0, 0, 0), k),
-        dynamics.transcendental_invariant_12(k),
-        dynamics.transcendental_invariant_23(k),
+        dynamics.transcendental_invariant(k, 0, 1),
+        dynamics.transcendental_invariant(k, 1, 2),
     ]
     rank = independence_rank(fields, k=Fraction(1, 2))
     ok &= rank.rank == 5 and not rank.retried

@@ -69,6 +69,11 @@ class TestFind:
         payload = json.loads(path.read_text())
         assert payload["model"] == "I"
 
+    def test_format_flag_is_rejected(self, capsys):
+        code, _, err = run(capsys, ["find", "--model", "II", "--format", "text"])
+        assert code == 1
+        assert "--format" in err
+
 
 class TestVerify:
     @pytest.mark.parametrize("tag", ["I", "II", "VI0", "VII0", "VIII", "IX"])
@@ -111,6 +116,26 @@ class TestSimulate:
         names = [e["name"] for e in sidecar["drift"]["invariants"]]
         assert names == ["H"]
         assert sidecar["drift"]["invariants"][0]["max_relative_drift"] < 1e-6
+
+    def test_stopped_orbit_exits_two_after_writing_outputs(self, capsys, tmp_path):
+        path = tmp_path / "orbit.csv"
+        code, _, _ = run(
+            capsys,
+            ["simulate", "--model", "I", "--x0", "1,2,3,10,10,10", "--out", str(path)],
+        )
+        assert code == 2
+        assert len(path.read_text().splitlines()) > 2
+        sidecar = json.loads((tmp_path / "orbit.drift.json").read_text())
+        assert sidecar["drift"]["status"] == "step_underflow"
+
+    def test_default_start_VIII_completes(self, capsys, tmp_path):
+        path = tmp_path / "orbit.csv"
+        code, _, _ = run(capsys, ["simulate", "--model", "VIII", "--out", str(path)])
+        assert code == 0
+        sidecar = json.loads((tmp_path / "orbit.drift.json").read_text())
+        assert sidecar["x0"] == "1/4,1/2,3/4,1/4,1/2,1"
+        assert sidecar["drift"]["status"] == "completed"
+        assert len(path.read_text().splitlines()) < 1000  # ~131 steps
 
     def test_symbolic_k_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["simulate", "--model", "IX", "--k", "symbolic"])
@@ -217,3 +242,21 @@ class TestUsageErrors:
     def test_bad_k_exits_one(self, capsys):
         code, _, _ = run(capsys, ["find", "--model", "I", "--k", "zebra"])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["find", "--model", "II", "--max-degree", "0"],
+            ["simulate", "--model", "IX", "--x0", "1,2,a"],
+            ["simulate", "--model", "IX", "--tol", "0"],
+            ["lemma", "estrella", "--degree", "-1"],
+            ["find", "--model", "II", "--k", "1"],
+            ["report", "--k-samples", "1/2,x"],
+        ],
+    )
+    def test_bad_value_exits_one_with_one_line_message(self, capsys, argv):
+        code, out, err = run(capsys, argv)  # any other exception fails the test
+        assert code == 1
+        assert out == ""
+        assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+        assert "Traceback" not in err

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bianchi_integrals.coefficients import (
-    K_MINUS_1_OVER_4,
-    KPoly,
-    format_rational,
-    kpoly_eval,
-    parse_rational,
-)
+from bianchi_integrals.coefficients import K_MINUS_1_OVER_4, KPoly
 
 rationals = st.fractions(
     min_value=-(1 << 30), max_value=1 << 30, max_denominator=1 << 20
@@ -29,16 +23,13 @@ def test_exact_fraction_addition():
 def test_canonical_form():
     q = Fraction(2, 4)
     assert q.numerator == 1 and q.denominator == 2
-    assert parse_rational("2/4") == Fraction(1, 2)
-    assert format_rational(Fraction(5, 6)) == "5/6"
-    assert format_rational(Fraction(-3)) == "-3"
 
 
 def test_k_minus_one_over_four_substitution():
-    assert kpoly_eval(K_MINUS_1_OVER_4, Fraction(1, 2)) == Fraction(-1, 8)
-    assert kpoly_eval(K_MINUS_1_OVER_4, Fraction(0)) == Fraction(-1, 4)
+    assert K_MINUS_1_OVER_4(Fraction(1, 2)) == Fraction(-1, 8)
+    assert K_MINUS_1_OVER_4(Fraction(0)) == Fraction(-1, 4)
     # k = 1 is the excluded endpoint; only used as a degeneracy probe
-    assert kpoly_eval(K_MINUS_1_OVER_4, Fraction(1)) == 0
+    assert K_MINUS_1_OVER_4(Fraction(1)) == 0
 
 
 def test_division_by_zero_is_distinct_error():

@@ -7,6 +7,7 @@ import pytest
 
 from bianchi_integrals.dynamics import (
     DomainError,
+    coefficient_matrix,
     IntegratorConfig,
     drift_report,
     energy_invariant,
@@ -15,11 +16,11 @@ from bianchi_integrals.dynamics import (
     poly_invariant,
     rhs,
     standard_invariants,
-    transcendental_invariant_12,
+    transcendental_invariant,
     write_trajectory_csv,
 )
 from bianchi_integrals.multipoly import MultiPoly
-from bianchi_integrals.vectorfields import BianchiModel, build_bianchi
+from bianchi_integrals.vectorfields import MODEL_TAGS, BianchiModel, build_bianchi
 
 X0_IX = (1.0, 1.0, 1.0, 1.0, 2.0, 3.0)
 X0_GENERIC = (1.0, 2.0, 3.0, 1.0, 2.0, 4.0)
@@ -29,7 +30,8 @@ class TestRhs:
     def test_hand_value_type_IX(self):
         # at x = (1,1,1,1,2,3), k = 1/2:
         # F = 1+1+1-2-2-2 + 1+4+9-4-6-12 = -11; q = -1/8 * -11 = 11/8
-        v = rhs((1, 1, 1), 0.5, X0_IX)
+        C = coefficient_matrix(BianchiModel.from_tag("IX", Fraction(1, 2)), 0.5)
+        v = rhs(C, np.array(X0_IX))
         assert v[0] == pytest.approx(1.0 * (-1 + 2 + 3))
         assert v[1] == pytest.approx(1.0 * (1 - 2 + 3))
         assert v[2] == pytest.approx(1.0 * (1 + 2 - 3))
@@ -38,13 +40,22 @@ class TestRhs:
         assert v[5] == pytest.approx(1 * (-1 - 1 + 1) + 11 / 8)
 
     def test_matches_exact_vector_field(self):
-        for tag in ("I", "II", "VI0", "VII0", "VIII", "IX"):
-            model = BianchiModel.from_tag(tag, Fraction(1, 2))
-            X = build_bianchi(model)
-            point = [Fraction(1), Fraction(2), Fraction(3), Fraction(1), Fraction(2), Fraction(4)]
-            exact = [float(c.evaluate(point)) for c in X.components]
-            approx = rhs(model.n, 0.5, [float(v) for v in point])
-            assert np.allclose(approx, exact, rtol=1e-14, atol=0)
+        points = (
+            [Fraction(1), Fraction(2), Fraction(3), Fraction(1), Fraction(2), Fraction(4)],
+            [Fraction(3, 2), Fraction(-1, 3), Fraction(5, 7),
+             Fraction(2), Fraction(-3, 4), Fraction(9, 5)],
+        )
+        for tag in MODEL_TAGS:
+            symbolic = BianchiModel.from_tag(tag, None)
+            for k in (Fraction(0), Fraction(1, 2), Fraction(9, 10)):
+                model = BianchiModel.from_tag(tag, k)
+                X = build_bianchi(model)
+                for point in points:
+                    exact = [float(c.evaluate(point)) for c in X.components]
+                    x = np.array([float(v) for v in point])
+                    for source in (model, symbolic):
+                        approx = rhs(coefficient_matrix(source, float(k)), x)
+                        assert np.allclose(approx, exact, rtol=1e-14, atol=0), (tag, k, point)
 
 
 class TestIntegrate:
@@ -147,7 +158,7 @@ class TestInvariants:
             inv((-1.0, 1.0, 1.0, 0.0, 0.0, 0.0))
 
     def test_transcendental_domain_error(self):
-        inv = transcendental_invariant_12(0.5)
+        inv = transcendental_invariant(0.5, 0, 1)
         with pytest.raises(DomainError):
             inv((-1.0, 1.0, 1.0, 1.0, 2.0, 3.0))
         with pytest.raises(DomainError):

@@ -1,16 +1,12 @@
-import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bianchi_integrals.multipoly import (
     MAX_EXPONENT,
     MultiPoly,
     monomial_key,
     monomial_mul,
-    parse_poly,
 )
 
 from conftest import random_poly
@@ -34,11 +30,6 @@ def delta():
         x[3] ** 2 + x[4] ** 2 + x[5] ** 2
         - x[3] * x[4] - x[3] * x[5] - x[4] * x[5]
     )
-
-
-small_polys = st.integers(0, 10_000).map(
-    lambda seed: random_poly(random.Random(seed), 4, max_degree=3, max_terms=5)
-)
 
 
 class TestArithmetic:
@@ -103,39 +94,6 @@ class TestRestrict:
             c = Fraction(rng.randint(-3, 3))
             assert (p + q).restrict(i, c) == p.restrict(i, c) + q.restrict(i, c)
             assert (p * q).restrict(i, c) == p.restrict(i, c) * q.restrict(i, c)
-
-
-class TestLemma1Split:
-    def test_forced_split(self):
-        x = xvars()
-        p = x[0] ** 2 + x[0] * x[1] + x[1] ** 2
-        f_l, g = p.lemma1_split(0, Fraction(0))
-        assert f_l == x[1] ** 2
-        assert g == x[0] + x[1]
-
-    def test_variable_free_polynomial(self):
-        x = xvars()
-        p = (x[4] - x[5]) ** 3
-        f_l, g = p.lemma1_split(0, Fraction(0))
-        assert f_l == p
-        assert g.is_zero()
-
-    def test_roundtrip_random(self, rng):
-        for _ in range(200):
-            p = random_poly(rng, 4)
-            i = rng.randrange(4)
-            c = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
-            f_l, g = p.lemma1_split(i, c)
-            xi = MultiPoly.variable(4, i)
-            assert f_l + (xi - c) * g == p
-            assert all(m[i] == 0 for m in f_l.terms)
-
-    @given(small_polys, st.integers(0, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4))
-    def test_roundtrip_property(self, p, i, c):
-        f_l, g = p.lemma1_split(i, c)
-        xi = MultiPoly.variable(4, i)
-        assert f_l + (xi - c) * g == p
-        assert all(m[i] == 0 for m in f_l.terms)
 
 
 class TestHomogeneousComponents:
@@ -225,20 +183,3 @@ class TestTextForm:
 
     def test_zero(self):
         assert MultiPoly.zero(6).to_text() == "0"
-        assert parse_poly("0", 6).is_zero()
-
-    def test_parse_roundtrip_random(self, rng):
-        for _ in range(100):
-            p = random_poly(rng, 6)
-            assert parse_poly(p.to_text(), 6) == p
-
-    def test_parse_examples(self):
-        x = xvars()
-        assert parse_poly("5/2*x1^2*x4 - x5*x6", 6) == Fraction(5, 2) * x[0] ** 2 * x[3] - x[4] * x[5]
-        assert parse_poly("-x4 + x5", 6) == -x[3] + x[4]
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_poly("x7 + 1", 6)
-        with pytest.raises(ValueError):
-            parse_poly("2**x1", 6)
