@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .multipoly import MultiPoly
-from .vectorfields import NVARS, BianchiModel, build_bianchi, build_F
+from .vectorfields import NVARS, BianchiModel, build_bianchi, build_F, polynomial_integrals
 
 
 class DomainError(ValueError):
@@ -25,14 +24,12 @@ class DomainError(ValueError):
 @dataclass(frozen=True)
 class IntegratorConfig:
     t_end: float = 1.0
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-12
+    tol: float = 1e-12  # both the relative and the absolute error tolerance
     max_steps: int = 1_000_000
-    initial_step: float = 1e-4
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.tol <= 0:
+            raise ValueError("tolerance must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
 
@@ -85,10 +82,10 @@ _A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
+_INITIAL_STEP = 1e-4
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -97,27 +94,22 @@ _ALPHA = 0.7 / 5.0
 _BETA = 0.4 / 5.0
 
 
-def _float_k(model: BianchiModel, k: Optional[float]) -> float:
-    if k is not None:
-        return k
+def _float_k(model: BianchiModel) -> float:
     if model.k is None:
-        raise ValueError("symbolic-k model needs an explicit float k")
+        raise ValueError("float evaluation needs a fixed-k model")
     return float(model.k)
 
 
 def integrate(
-    model: BianchiModel,
-    x0: Sequence[float],
-    cfg: IntegratorConfig = IntegratorConfig(),
-    k: Optional[float] = None,
+    model: BianchiModel, x0: Sequence[float], cfg: IntegratorConfig = IntegratorConfig()
 ) -> Trajectory:
     """Adaptive RK5(4) orbit from t=0 to cfg.t_end; keeps every accepted step."""
-    C = coefficient_matrix(model, _float_k(model, k))
+    C = coefficient_matrix(model, _float_k(model))
     t = 0.0
     y = np.array([float(v) for v in x0])
     ts = [t]
     ys = [y.copy()]
-    h = min(cfg.initial_step, cfg.t_end)
+    h = min(_INITIAL_STEP, cfg.t_end)
     err_prev = 1.0
     accepted = 0
     rejected = 0
@@ -137,7 +129,7 @@ def integrate(
             stages.append(rhs(C, yi))
         y5 = y + h * sum(b * ki for b, ki in zip(_B5, stages))
         y4 = y + h * sum(b * ki for b, ki in zip(_B4, stages))
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
+        scale = cfg.tol + cfg.tol * np.maximum(np.abs(y), np.abs(y5))
         err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
         if err <= 1.0:
             t += h
@@ -162,9 +154,9 @@ def integrate(
 Invariant = Callable[[Sequence[float]], float]
 
 
-def poly_invariant(p: MultiPoly, k: Optional[Fraction] = None) -> Invariant:
+def poly_invariant(p: MultiPoly) -> Invariant:
     def fn(x):
-        return float(p.evaluate([float(v) for v in x], k=k))
+        return float(p.evaluate([float(v) for v in x]))
 
     return fn
 
@@ -216,18 +208,15 @@ def transcendental_invariant(k: float, i: int, j: int) -> Invariant:
     return fn
 
 
-def standard_invariants(model: BianchiModel, k: Optional[float] = None) -> Dict[str, Invariant]:
+def standard_invariants(model: BianchiModel) -> Dict[str, Invariant]:
     """The monitored invariants for a model, in report order."""
-    k = _float_k(model, k)
-    x = [MultiPoly.variable(6, i) for i in range(6)]
-    out: Dict[str, Invariant] = {}
+    k = _float_k(model)
+    out: Dict[str, Invariant] = {
+        p.to_text().replace(" ", ""): poly_invariant(p) for p in polynomial_integrals(model.tag)
+    }
     if model.tag == "I":
-        out["x4-x5"] = poly_invariant(x[3] - x[4])
-        out["x4-x6"] = poly_invariant(x[3] - x[5])
         for i, j in ((0, 1), (1, 2)):
             out["trans(x%d/x%d)" % (i + 1, j + 1)] = transcendental_invariant(k, i, j)
-    elif model.tag == "II":
-        out["x5-x6"] = poly_invariant(x[4] - x[5])
     out["H"] = energy_invariant(model.n, k)
     return out
 

@@ -11,19 +11,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import combinations_with_replacement
+from math import comb
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .coefficients import KPoly
+from .coefficients import K_MINUS_1_OVER_4, KPoly
 from .multipoly import Monomial, MultiPoly, monomial_key
-from .nullspace import PIVOT_RULE, sparse_kernel_basis
+from .nullspace import PIVOT_RULE, SparseRow, sparse_kernel_basis
 from .vectorfields import (
     BianchiModel,
     VectorField,
     build_bianchi,
+    build_F,
     lie_derivative,
+    polynomial_integrals,
 )
-
-DEFAULT_MAX_DEGREE = 6
 
 # Independence testing: fixed deterministic points and thresholds.
 PRIMARY_RANK_POINT = (1, 2, 3, 5, 7, 11)
@@ -40,16 +42,10 @@ def enumerate_monomials(nvars: int, degree: int) -> List[Monomial]:
     """All degree-m exponent tuples, graded-lex order (largest first)."""
     if nvars < 1 or degree < 0:
         raise ValueError("need nvars >= 1 and degree >= 0")
-
-    def gen(nv: int, d: int):
-        if nv == 1:
-            yield (d,)
-            return
-        for e in range(d, -1, -1):
-            for rest in gen(nv - 1, d - e):
-                yield (e,) + rest
-
-    return list(gen(nvars, degree))
+    return [
+        tuple(factors.count(i) for i in range(nvars))
+        for factors in combinations_with_replacement(range(nvars), degree)
+    ]
 
 
 @dataclass
@@ -83,18 +79,16 @@ class NullspaceBasis:
         return len(self.vectors)
 
 
-def assemble_system(X: VectorField, m: int) -> LinearSystem:
-    """Linear system whose kernel is {degree-m homogeneous first integrals}.
+def _rows(images: Iterable[MultiPoly]) -> Tuple[List[SparseRow], List[Tuple[Monomial, int]]]:
+    """Sparse rows of the linear map sending unknown j to the j-th image.
 
-    In symbolic-k mode every k-power contributes its own row block, so the
-    kernel consists of integrals valid for all k simultaneously.
+    Each row is keyed by (output monomial, k-power), largest first; a
+    KPoly coefficient puts each of its k-powers in its own row, so the
+    kernel holds for all k simultaneously.  Rational coefficients have
+    k-power 0.
     """
-    if m < 1:
-        raise ValueError("ansatz degree must be >= 1")
-    basis = enumerate_monomials(X.nvars, m)
-    rowmap: Dict[Tuple[Monomial, int], Dict[int, Fraction]] = {}
-    for j, mono in enumerate(basis):
-        image = lie_derivative(X, MultiPoly.from_monomial(X.nvars, mono))
+    rowmap: Dict[Tuple[Monomial, int], SparseRow] = {}
+    for j, image in enumerate(images):
         for out_mono, coeff in image.terms.items():
             if isinstance(coeff, KPoly):
                 for power, c in enumerate(coeff.coeffs):
@@ -103,7 +97,17 @@ def assemble_system(X: VectorField, m: int) -> LinearSystem:
             else:
                 rowmap.setdefault((out_mono, 0), {})[j] = coeff
     keys = sorted(rowmap, key=lambda mk: (monomial_key(mk[0]), mk[1]), reverse=True)
-    return LinearSystem(tuple(basis), [rowmap[k] for k in keys], keys)
+    return [rowmap[k] for k in keys], keys
+
+
+def assemble_system(X: VectorField, m: int) -> LinearSystem:
+    """Linear system whose kernel is {degree-m homogeneous first integrals}."""
+    if m < 1:
+        raise ValueError("ansatz degree must be >= 1")
+    basis = enumerate_monomials(X.nvars, m)
+    # A generator, so each image is dropped once its rows are read.
+    rows, keys = _rows(lie_derivative(X, MultiPoly.from_monomial(X.nvars, mono)) for mono in basis)
+    return LinearSystem(tuple(basis), rows, keys)
 
 
 def _vector_to_poly(vec: Sequence[Fraction], columns: Sequence[Monomial]) -> MultiPoly:
@@ -114,16 +118,12 @@ def _vector_to_poly(vec: Sequence[Fraction], columns: Sequence[Monomial]) -> Mul
     return poly
 
 
-def exact_nullspace(system: LinearSystem) -> NullspaceBasis:
-    """Canonical reduced kernel basis over the rationals."""
-    vectors, _rank = sparse_kernel_basis(system.rows, system.ncols)
-    polys = [_vector_to_poly(v, system.columns) for v in vectors]
-    return NullspaceBasis(vectors, polys)
-
-
 def kernel_basis(X: VectorField, m: int, recheck: bool = True) -> NullspaceBasis:
-    """Degree-m first-integral basis, with a post-hoc soundness re-check."""
-    basis = exact_nullspace(assemble_system(X, m))
+    """Canonical degree-m first-integral basis over the rationals, with a
+    post-hoc soundness re-check."""
+    system = assemble_system(X, m)
+    vectors, _rank = sparse_kernel_basis(system.rows, system.ncols)
+    basis = NullspaceBasis(vectors, [_vector_to_poly(v, system.columns) for v in vectors])
     if recheck:
         for poly in basis.polynomials:
             if not lie_derivative(X, poly).is_zero():
@@ -139,25 +139,21 @@ def kernel_basis(X: VectorField, m: int, recheck: bool = True) -> NullspaceBasis
 def expected_dimension(tag: str, m: int) -> int:
     """Expected degree-m kernel dimension per model.
 
-    Type I carries the polynomial algebra generated by two independent
-    linear integrals (dimension m+1, confirmed by the oracle suite before
-    being asserted); type II exactly the powers of its linear integral;
-    the remaining four models none.
+    The first integrals are the polynomial algebra generated by the model's
+    r independent linear integrals, whose degree-m part has dimension
+    C(m+r-1, m): m+1 for type I, 1 for type II and 0 for the other four.
     """
-    if tag == "I":
-        return m + 1
-    if tag == "II":
-        return 1
-    return 0
+    r = len(polynomial_integrals(tag))
+    return comb(m + r - 1, m)
 
 
 def expected_basis(tag: str, m: int) -> Optional[List[MultiPoly]]:
     """Exact expected basis, where the theorem pins one down."""
-    x = [MultiPoly.variable(6, i) for i in range(6)]
-    if tag == "II":
-        return [(x[4] - x[5]) ** m]
-    if tag == "I" and m == 1:
-        return [x[3] - x[4], x[3] - x[5]]
+    generators = polynomial_integrals(tag)
+    if len(generators) == 1:
+        return [generators[0] ** m]
+    if m == 1:
+        return list(generators)
     return None
 
 
@@ -208,7 +204,7 @@ class IntegrabilityReport:
         }
 
 
-def degree_sweep(model: BianchiModel, m_max: int = DEFAULT_MAX_DEGREE) -> IntegrabilityReport:
+def degree_sweep(model: BianchiModel, m_max: int) -> IntegrabilityReport:
     """Kernel dimensions and bases for degrees 1..m_max, against expectations."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
@@ -286,67 +282,42 @@ def _rank_at(fields, point, k) -> Tuple[int, float]:
     return rank, smallest
 
 
-def independence_rank(
-    fields: Sequence,
-    point: Sequence = PRIMARY_RANK_POINT,
-    k: Optional[Fraction] = None,
-) -> RankResult:
+def independence_rank(fields: Sequence, k: Optional[Fraction] = None) -> RankResult:
     """Rank of the Jacobian of the given scalar fields at a fixed point.
 
     Entries are MultiPoly (gradients exact) or float callables (central
     differences).  On suspected degeneracy the fixed retry point is used
     and the larger rank kept.
     """
+    point = PRIMARY_RANK_POINT
     rank, smallest = _rank_at(fields, point, k)
     retried = False
-    if rank < len(fields) and tuple(point) == PRIMARY_RANK_POINT:
+    if rank < len(fields):
         retry_rank, retry_smallest = _rank_at(fields, RETRY_RANK_POINT, k)
         retried = True
         if retry_rank > rank:
             rank, smallest, point = retry_rank, retry_smallest, RETRY_RANK_POINT
-    return RankResult(rank, smallest, tuple(point), retried)
+    return RankResult(rank, smallest, point, retried)
 
 
 # -- Lemma analyzers (three-variable PDEs) ------------------------------------
 
 
 def _f123() -> MultiPoly:
-    """x4^2+x5^2+x6^2-2(x4x5+x4x6+x5x6) in the three tail variables."""
-    y = [MultiPoly.variable(3, i) for i in range(3)]
-    return (
-        y[0] * y[0] + y[1] * y[1] + y[2] * y[2]
-        - 2 * (y[0] * y[1] + y[0] * y[2] + y[1] * y[2])
-    )
+    """F of type I, x4^2+x5^2+x6^2-2(x4x5+x4x6+x5x6), in the three tail variables."""
+    return MultiPoly(3, {mono[3:]: c for mono, c in build_F(0, 0, 0).terms.items()})
 
 
 TAIL_VAR_NAMES = ("x4", "x5", "x6")
 
 
-def _sum_partials(p: MultiPoly) -> MultiPoly:
-    total = MultiPoly.zero(p.nvars)
-    for i in range(p.nvars):
-        total += p.partial_derivative(i)
-    return total
-
-
-def _kernel_of_linear_map(images: List[MultiPoly]) -> Tuple[List[Tuple[Fraction, ...]], int]:
-    """Kernel of the map sending unit unknown j to images[j]."""
-    rowmap: Dict[Monomial, Dict[int, Fraction]] = {}
-    for j, image in enumerate(images):
-        for mono, coeff in image.terms.items():
-            rowmap.setdefault(mono, {})[j] = coeff
-    keys = sorted(rowmap, key=monomial_key, reverse=True)
-    return sparse_kernel_basis([rowmap[k] for k in keys], len(images))
-
-
 def _transport_images(linear: MultiPoly, k: Fraction, monos: List[Monomial]) -> List[MultiPoly]:
     """linear * g + (k-1)/4 F123 (g_4 + g_5 + g_6) for each monomial g."""
-    cf = (Fraction(k) - 1) / 4
-    F123 = _f123()
+    transport = VectorField((K_MINUS_1_OVER_4(Fraction(k)) * _f123(),) * 3)
     images = []
     for mono in monos:
         g = MultiPoly.from_monomial(3, mono)
-        images.append(linear * g + cf * (F123 * _sum_partials(g)))
+        images.append(linear * g + lie_derivative(transport, g))
     return images
 
 
@@ -362,7 +333,7 @@ def lemma_estrella_solve(
     y = [MultiPoly.variable(3, i) for i in range(3)]
     monos = enumerate_monomials(3, m)
     images = _transport_images(a1 * y[0] + a2 * y[1] + a3 * y[2], k, monos)
-    vectors, _ = _kernel_of_linear_map(images)
+    vectors, _ = sparse_kernel_basis(_rows(images)[0], len(images))
     polys = [_vector_to_poly(v, monos) for v in vectors]
     return NullspaceBasis(vectors, polys)
 
@@ -400,7 +371,7 @@ def lemma_dificil_solve(k: Fraction, n: int) -> DificilSolution:
     for i in range(n + 1):
         h_i = (u ** i) * (v ** (n - i))
         images.append(h_i.partial_derivative(1))
-    vectors, _ = _kernel_of_linear_map(images)
+    vectors, _ = sparse_kernel_basis(_rows(images)[0], len(images))
     ncols_g = len(g_monos)
     g_basis = []
     h_coeffs = []

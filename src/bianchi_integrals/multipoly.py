@@ -64,15 +64,15 @@ class MultiPoly:
         return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
-    def variable(cls, nvars: int, index: int, exponent: int = 1) -> "MultiPoly":
+    def variable(cls, nvars: int, index: int) -> "MultiPoly":
         if not 0 <= index < nvars:
             raise ValueError("variable index %d out of range" % index)
-        mono = tuple(exponent if i == index else 0 for i in range(nvars))
+        mono = tuple(1 if i == index else 0 for i in range(nvars))
         return cls(nvars, {mono: Fraction(1)})
 
     @classmethod
-    def from_monomial(cls, nvars: int, mono: Monomial, coeff=Fraction(1)) -> "MultiPoly":
-        return cls(nvars, {tuple(mono): coeff})
+    def from_monomial(cls, nvars: int, mono: Monomial) -> "MultiPoly":
+        return cls(nvars, {tuple(mono): Fraction(1)})
 
     # -- queries -----------------------------------------------------------
 

@@ -97,10 +97,7 @@ def build_bianchi(model: BianchiModel) -> VectorField:
     n1, n2, n3 = model.n
     x = [MultiPoly.variable(NVARS, i) for i in range(NVARS)]
     F = build_F(n1, n2, n3)
-    if model.symbolic:
-        cf = K_MINUS_1_OVER_4
-    else:
-        cf = (model.k - 1) / 4
+    cf = K_MINUS_1_OVER_4 if model.symbolic else K_MINUS_1_OVER_4(model.k)
     comps = [
         x[0] * (-x[3] + x[4] + x[5]),
         x[1] * (x[3] - x[4] + x[5]),
@@ -180,10 +177,7 @@ def verify_weighted_power_integral(X: VectorField, G: WeightedPowerIntegral):
 
 def hamiltonian_integral(model: BianchiModel) -> WeightedPowerIntegral:
     """The energy-derived integral (x1 x2 x3)^((k-1)/2) * F."""
-    if model.symbolic:
-        w = K_MINUS_1_OVER_2
-    else:
-        w = (model.k - 1) / 2
+    w = K_MINUS_1_OVER_2 if model.symbolic else K_MINUS_1_OVER_2(model.k)
     zero = KPoly.zero() if model.symbolic else Fraction(0)
     return WeightedPowerIntegral((w, w, w, zero, zero, zero), build_F(*model.n))
 

@@ -244,7 +244,7 @@ def test_criterion_7_dynamics_conservation(capsys):
     half = integrate(
         model,
         x0_of["II"],
-        IntegratorConfig(rel_tol=cfg.rel_tol / 2, abs_tol=cfg.abs_tol / 2),
+        IntegratorConfig(tol=cfg.tol / 2),
     )
     ok &= base.ok and half.ok
     inv = standard_invariants(model)

@@ -249,6 +249,10 @@ class TestUsageErrors:
             ["find", "--model", "II", "--max-degree", "0"],
             ["simulate", "--model", "IX", "--x0", "1,2,a"],
             ["simulate", "--model", "IX", "--tol", "0"],
+            ["simulate", "--model", "IX", "--tol", "inf"],
+            ["simulate", "--model", "IX", "--t-end", "-1"],
+            ["simulate", "--model", "IX", "--t-end", "0"],
+            ["simulate", "--model", "IX", "--t-end", "nan"],
             ["lemma", "estrella", "--degree", "-1"],
             ["find", "--model", "II", "--k", "1"],
             ["report", "--k-samples", "1/2,x"],

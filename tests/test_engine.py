@@ -4,14 +4,12 @@ from fractions import Fraction
 import pytest
 
 from bianchi_integrals.engine import (
-    DEFAULT_MAX_DEGREE,
     PRIMARY_RANK_POINT,
     RETRY_RANK_POINT,
     SoundnessError,
     assemble_system,
     degree_sweep,
     enumerate_monomials,
-    exact_nullspace,
     expected_basis,
     expected_dimension,
     independence_rank,
@@ -142,9 +140,6 @@ class TestKernelContents:
 
 
 class TestDegreeSweep:
-    def test_default_bound(self):
-        assert DEFAULT_MAX_DEGREE == 6
-
     def test_report_shape_and_pass(self):
         report = degree_sweep(BianchiModel.from_tag("II", Fraction(1, 2)), m_max=4)
         assert report.passed
@@ -165,9 +160,9 @@ class TestDegreeSweep:
         assert report.dimensions == [0, 0, 0]
 
     def test_expected_tables(self):
-        assert [expected_dimension("I", m) for m in range(1, 5)] == [2, 3, 4, 5]
-        assert [expected_dimension("II", m) for m in range(1, 5)] == [1, 1, 1, 1]
-        assert expected_dimension("IX", 3) == 0
+        hand = {"I": [2, 3, 4, 5, 6, 7, 8, 9], "II": [1] * 8}
+        for tag in BIANCHI_TABLE:
+            assert [expected_dimension(tag, m) for m in range(1, 9)] == hand.get(tag, [0] * 8), tag
         x = [MultiPoly.variable(6, i) for i in range(6)]
         assert expected_basis("II", 3) == [(x[4] - x[5]) ** 3]
         assert expected_basis("I", 1) == [x[3] - x[4], x[3] - x[5]]
