@@ -247,7 +247,7 @@ def cmd_report(args) -> int:
             }
             if polynomial_integrals(tag) and k is not None:
                 fields = _statement_fields(model)
-                rank = engine.independence_rank(fields, k=model.k)
+                rank = engine.independence_rank(fields)
                 cell["independence"] = rank.to_dict()
                 cell["pass"] = cell["pass"] and rank.rank == len(fields)
             cells.append(cell)

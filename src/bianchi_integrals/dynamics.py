@@ -28,8 +28,9 @@ class IntegratorConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        for name in ("t_end", "tol"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError("%s must be a finite positive number" % name)
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
 

@@ -118,18 +118,15 @@ def _vector_to_poly(vec: Sequence[Fraction], columns: Sequence[Monomial]) -> Mul
     return poly
 
 
-def kernel_basis(X: VectorField, m: int, recheck: bool = True) -> NullspaceBasis:
+def kernel_basis(X: VectorField, m: int) -> NullspaceBasis:
     """Canonical degree-m first-integral basis over the rationals, with a
     post-hoc soundness re-check."""
     system = assemble_system(X, m)
     vectors, _rank = sparse_kernel_basis(system.rows, system.ncols)
     basis = NullspaceBasis(vectors, [_vector_to_poly(v, system.columns) for v in vectors])
-    if recheck:
-        for poly in basis.polynomials:
-            if not lie_derivative(X, poly).is_zero():
-                raise SoundnessError(
-                    "kernel polynomial fails annihilation re-check: %s" % poly
-                )
+    for poly in basis.polynomials:
+        if not lie_derivative(X, poly).is_zero():
+            raise SoundnessError("kernel polynomial fails annihilation re-check: %s" % poly)
     return basis
 
 
@@ -237,7 +234,6 @@ class RankResult:
     smallest_retained_sv: float
     point: Tuple
     retried: bool
-    sv_tol: float = SINGULAR_VALUE_TOL
 
     def to_dict(self) -> dict:
         return {
@@ -245,22 +241,17 @@ class RankResult:
             "smallest_retained_sv": self.smallest_retained_sv,
             "point": [str(v) for v in self.point],
             "retried": self.retried,
-            "sv_tol": self.sv_tol,
+            "sv_tol": SINGULAR_VALUE_TOL,
         }
 
 
-def _jacobian_row(item, point, k=None):
+def _jacobian_row(item, point):
     import numpy as np
 
     n = len(point)
     if isinstance(item, MultiPoly):
         frac_point = tuple(Fraction(v) for v in point)
-        return np.array(
-            [
-                float(item.partial_derivative(i).evaluate(frac_point, k=k))
-                for i in range(n)
-            ]
-        )
+        return np.array([float(item.partial_derivative(i).evaluate(frac_point)) for i in range(n)])
     base = [float(v) for v in point]
     row = []
     for i in range(n):
@@ -272,17 +263,17 @@ def _jacobian_row(item, point, k=None):
     return np.array(row)
 
 
-def _rank_at(fields, point, k) -> Tuple[int, float]:
+def _rank_at(fields, point) -> Tuple[int, float]:
     import numpy as np
 
-    jac = np.vstack([_jacobian_row(f, point, k) for f in fields])
+    jac = np.vstack([_jacobian_row(f, point) for f in fields])
     sv = np.linalg.svd(jac, compute_uv=False)
     rank = int((sv > SINGULAR_VALUE_TOL).sum())
     smallest = float(sv[rank - 1]) if rank else 0.0
     return rank, smallest
 
 
-def independence_rank(fields: Sequence, k: Optional[Fraction] = None) -> RankResult:
+def independence_rank(fields: Sequence) -> RankResult:
     """Rank of the Jacobian of the given scalar fields at a fixed point.
 
     Entries are MultiPoly (gradients exact) or float callables (central
@@ -290,10 +281,10 @@ def independence_rank(fields: Sequence, k: Optional[Fraction] = None) -> RankRes
     and the larger rank kept.
     """
     point = PRIMARY_RANK_POINT
-    rank, smallest = _rank_at(fields, point, k)
+    rank, smallest = _rank_at(fields, point)
     retried = False
     if rank < len(fields):
-        retry_rank, retry_smallest = _rank_at(fields, RETRY_RANK_POINT, k)
+        retry_rank, retry_smallest = _rank_at(fields, RETRY_RANK_POINT)
         retried = True
         if retry_rank > rank:
             rank, smallest, point = retry_rank, retry_smallest, RETRY_RANK_POINT

@@ -15,9 +15,6 @@ from .coefficients import KPoly
 
 Monomial = Tuple[int, ...]
 
-# Degree sweeps stay far below this; overflow is a hard error, never wraparound.
-MAX_EXPONENT = 255
-
 
 def monomial_degree(mono: Monomial) -> int:
     return sum(mono)
@@ -29,11 +26,7 @@ def monomial_key(mono: Monomial):
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    out = tuple(i + j for i, j in zip(a, b))
-    for e in out:
-        if e > MAX_EXPONENT:
-            raise OverflowError("monomial exponent %d exceeds cap %d" % (e, MAX_EXPONENT))
-    return out
+    return tuple(i + j for i, j in zip(a, b))
 
 
 class MultiPoly:
@@ -214,7 +207,7 @@ class MultiPoly:
         result.terms = out
         return result
 
-    def restrict(self, var_index: int, value=Fraction(0)) -> "MultiPoly":
+    def restrict(self, var_index: int, value) -> "MultiPoly":
         """Substitute x[var_index] = value; the variable count is preserved."""
         if not 0 <= var_index < self.nvars:
             raise ValueError("variable index %d out of range" % var_index)
@@ -237,21 +230,12 @@ class MultiPoly:
             buckets.setdefault(monomial_degree(mono), {})[mono] = coeff
         return [MultiPoly(self.nvars, buckets[d]) for d in sorted(buckets)]
 
-    def evaluate(self, point: Sequence, k=None):
-        """Exact (or float, if the point is float) evaluation.
-
-        KPoly coefficients require an explicit k value.
-        """
+    def evaluate(self, point: Sequence):
+        """Exact (or float, if the point is float) evaluation."""
         if len(point) != self.nvars:
             raise ValueError("point has %d entries, expected %d" % (len(point), self.nvars))
         total = 0
-        for mono, coeff in self.terms.items():
-            if isinstance(coeff, KPoly):
-                if k is None:
-                    raise ValueError("symbolic-k coefficients need a k value")
-                value = coeff(k)
-            else:
-                value = coeff
+        for mono, value in self.terms.items():
             for x, e in zip(point, mono):
                 if e:
                     value = value * x ** e

@@ -1,16 +1,21 @@
 """Exact kernel computation for sparse rational matrices.
 
-Forward elimination is division-free over the integers (cross
-multiplication with content reduction, first-nonzero pivoting), followed
-by exact rational back-substitution to a reduced echelon kernel basis.
-The basis is canonical: one vector per free column, with a 1 at that free
-column and 0 at every other free column.
+Forward elimination is division-free over the integers.  Each row, in
+order, is made a primitive integer row and inserted into a table
+{leading column: pivot row}: while its leading column has a pivot, it is
+cross-multiplied with that pivot and divided by its content.  It becomes
+the pivot of the first free leading column it reaches, or vanishes.  So
+the pivot of a column is the first row that still has a nonzero there once
+the earlier columns are eliminated: first-nonzero pivoting, with the same
+integers as a sweep over the columns.  Back-substitution then gives the
+canonical reduced echelon kernel basis: one vector per free column, with
+a 1 at that free column and 0 at every other free column.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
 SparseRow = Dict[int, Fraction]
@@ -18,90 +23,48 @@ SparseRow = Dict[int, Fraction]
 PIVOT_RULE = "first-nonzero"
 
 
-def _integerize(row: SparseRow) -> Dict[int, int]:
-    """Scale a rational row to a primitive integer row."""
-    if not row:
-        return {}
-    lcm = 1
-    for v in row.values():
-        d = v.denominator
-        lcm = lcm * d // gcd(lcm, d)
-    ints = {c: int(v * lcm) for c, v in row.items() if v}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = {c: v // g for c, v in ints.items()}
-    return ints
+def _primitive(row: Dict[int, int]) -> Dict[int, int]:
+    """Divide an integer row by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
-def _content_reduce(row: Dict[int, int]) -> Dict[int, int]:
-    g = 0
-    for v in row.values():
-        g = gcd(g, abs(v))
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
-    return row
+def _echelon(rows: Sequence[SparseRow]) -> Dict[int, Dict[int, int]]:
+    """Pivot table {leading column: primitive integer row} of the rows."""
+    pivots: Dict[int, Dict[int, int]] = {}
+    for row in rows:
+        scale = lcm(*(v.denominator for v in row.values()))
+        row = _primitive({c: int(v * scale) for c, v in row.items() if v})
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            p, f = pivot[lead], row[lead]
+            row = _primitive({
+                c: v for c in row.keys() | pivot.keys()
+                if (v := row.get(c, 0) * p - pivot.get(c, 0) * f)
+            })
+    return pivots
 
 
 def sparse_kernel_basis(
     rows: Sequence[SparseRow], ncols: int
 ) -> Tuple[List[Tuple[Fraction, ...]], int]:
     """Kernel basis and rank of the matrix given as sparse rational rows."""
-    work = [r for r in (_integerize(r) for r in rows) if r]
-    pivot_of_col: Dict[int, Dict[int, int]] = {}
-    for col in range(ncols):
-        pivot_row = None
-        for idx, row in enumerate(work):
-            if col in row:
-                pivot_row = work.pop(idx)
-                break
-        if pivot_row is None:
-            continue
-        pivot_of_col[col] = pivot_row
-        piv = pivot_row[col]
-        updated = []
-        for row in work:
-            f = row.get(col)
-            if f:
-                merged: Dict[int, int] = {}
-                for c in set(row) | set(pivot_row):
-                    v = row.get(c, 0) * piv - pivot_row.get(c, 0) * f
-                    if v:
-                        merged[c] = v
-                if merged:
-                    updated.append(_content_reduce(merged))
-            else:
-                updated.append(row)
-        work = updated
-
-    pivot_cols = sorted(pivot_of_col)
-    free_cols = [c for c in range(ncols) if c not in pivot_of_col]
-
-    # Back substitution: express each pivot variable over the free columns.
-    expr: Dict[int, Dict[int, Fraction]] = {}
-    for col in reversed(pivot_cols):
-        row = pivot_of_col[col]
-        piv = Fraction(row[col])
-        acc: Dict[int, Fraction] = {}
-        for c, v in row.items():
-            if c == col:
-                continue
-            coeff = Fraction(v) / piv
-            if c in expr:
-                for f, e in expr[c].items():
-                    acc[f] = acc.get(f, Fraction(0)) - coeff * e
-            else:
-                acc[c] = acc.get(c, Fraction(0)) - coeff
-        expr[col] = {f: v for f, v in acc.items() if v}
-
+    pivots = _echelon(rows)
+    pivot_cols = sorted(pivots, reverse=True)
+    zero = Fraction(0)
     basis: List[Tuple[Fraction, ...]] = []
-    for f in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for col in pivot_cols:
-            v = expr[col].get(f)
-            if v:
-                vec[col] = v
-        basis.append(tuple(vec))
-    return basis, len(pivot_cols)
+    for free in (c for c in range(ncols) if c not in pivots):
+        # A pivot row has entries only at columns >= its pivot, so the
+        # pivot columns right of `free` stay 0.
+        vec = {free: Fraction(1)}
+        for col in (c for c in pivot_cols if c < free):
+            row = pivots[col]
+            s = sum(v * vec[c] for c, v in row.items() if c in vec)
+            if s:
+                vec[col] = -s / row[col]
+        basis.append(tuple(vec.get(c, zero) for c in range(ncols)))
+    return basis, len(pivots)

@@ -50,7 +50,7 @@ class BianchiModel:
             raise ValueError("k must satisfy 0 <= k < 1, got %s" % self.k)
 
     @classmethod
-    def from_tag(cls, tag: str, k: Optional[Fraction] = Fraction(1, 2)) -> "BianchiModel":
+    def from_tag(cls, tag: str, k: Optional[Fraction]) -> "BianchiModel":
         return cls(tag, BIANCHI_TABLE.get(tag), k)
 
     @property

@@ -106,7 +106,7 @@ def test_criterion_3_bianchi_I_kernel_and_rank(capsys):
         dynamics.transcendental_invariant(k, 0, 1),
         dynamics.transcendental_invariant(k, 1, 2),
     ]
-    rank = independence_rank(fields, k=Fraction(1, 2))
+    rank = independence_rank(fields)
     ok &= rank.rank == 5 and not rank.retried
     ok &= rank.smallest_retained_sv > 1e-6
     emit(capsys, 3, ok, "degree-1 basis {x4-x5, x4-x6}, dim m+1 for m<=3 "
@@ -283,7 +283,7 @@ def test_criterion_8_soundness_recheck(capsys):
         for k in list(K_SAMPLES) + [None]:
             X = build_bianchi(BianchiModel.from_tag(tag, k))
             for m in range(1, 5):
-                for p in kernel_basis(X, m, recheck=False).polynomials:
+                for p in kernel_basis(X, m).polynomials:
                     total += 1
                     if lie_derivative(X, p).is_zero():
                         good += 1

@@ -92,8 +92,11 @@ class TestIntegrate:
             integrate(model, X0_IX)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            IntegratorConfig(tol=0.0)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                IntegratorConfig(tol=bad)
+            with pytest.raises(ValueError):
+                IntegratorConfig(t_end=bad)
         with pytest.raises(ValueError):
             IntegratorConfig(max_steps=0)
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bianchi_integrals import engine
 from bianchi_integrals.engine import (
     PRIMARY_RANK_POINT,
     RETRY_RANK_POINT,
@@ -101,7 +102,7 @@ class TestKernelContents:
         for tag in sorted(BIANCHI_TABLE):
             X = build_bianchi(BianchiModel.from_tag(tag, Fraction(2, 3)))
             for m in (1, 2, 3):
-                basis = kernel_basis(X, m, recheck=False)
+                basis = kernel_basis(X, m)
                 for p in basis.polynomials:
                     assert lie_derivative(X, p).is_zero()
                     assert p.is_homogeneous() and p.total_degree() == m
@@ -133,10 +134,18 @@ class TestKernelContents:
             for m in (1, 2, 3):
                 assert kernel_basis(Xs, m).dimension == expected_dimension(tag, m)
 
-    def test_soundness_recheck_path(self):
-        # sanity: recheck enabled by default and silent on correct kernels
+    def test_soundness_recheck_path(self, monkeypatch):
+        # the re-check runs on every call: silent on a correct kernel ...
         X = build_bianchi(BianchiModel.from_tag("II", Fraction(1, 2)))
-        kernel_basis(X, 3, recheck=True)
+        kernel_basis(X, 3)
+
+        # ... and raises on a vector that is not in it
+        def wrong_kernel(rows, ncols):
+            return [tuple(Fraction(int(j == 0)) for j in range(ncols))], ncols - 1
+
+        monkeypatch.setattr(engine, "sparse_kernel_basis", wrong_kernel)
+        with pytest.raises(SoundnessError):
+            kernel_basis(X, 3)
 
 
 class TestDegreeSweep:

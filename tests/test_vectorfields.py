@@ -72,7 +72,7 @@ class TestBianchiModel:
         with pytest.raises(ValueError):
             BianchiModel.from_tag("I", Fraction(1))
         with pytest.raises(ValueError):
-            BianchiModel.from_tag("bogus")
+            BianchiModel.from_tag("bogus", Fraction(1, 2))
 
 
 class TestBuildBianchi:
