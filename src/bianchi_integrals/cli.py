@@ -191,36 +191,36 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_lemma(args) -> int:
-    if args.which == "estrella":
-        a1, a2, a3 = args.a
-        basis = engine.lemma_estrella_solve(a1, a2, a3, args.k, args.degree)
-        hypothesis = (a1 - a2) ** 2 + (a1 - a3) ** 2 != 0
-        passed = (basis.dimension == 0) if hypothesis else True
-        payload = {
-            "lemma": "estrella",
-            "a": [str(v) for v in (a1, a2, a3)],
-            "k": str(args.k),
-            "degree": args.degree,
-            "hypothesis_holds": hypothesis,
-            "dimension": basis.dimension,
-            "basis": [p.to_text(engine.TAIL_VAR_NAMES) for p in basis.polynomials],
-            "pass": passed,
-        }
-    elif args.which == "dificil":
-        sol = engine.lemma_dificil_solve(args.k, args.n)
-        passed = sol.conforms
-        payload = {
-            "lemma": "dificil",
-            "k": str(args.k),
-            "n": args.n,
-            "solution": sol.to_dict(),
-            "pass": passed,
-        }
-    else:  # sn
-        passed = engine.sn_recursion_check(args.n)
-        payload = {"lemma": "sn", "n": args.n, "identity_holds": passed, "pass": passed}
+    payload = args.lemma(args)
     _emit(payload, args.out)
-    return 0 if passed else 2
+    return 0 if payload["pass"] else 2
+
+
+def _lemma_estrella(args) -> dict:
+    a1, a2, a3 = args.a
+    basis = engine.lemma_estrella_solve(a1, a2, a3, args.k, args.degree)
+    hypothesis = (a1 - a2) ** 2 + (a1 - a3) ** 2 != 0
+    return {
+        "lemma": "estrella",
+        "a": [str(v) for v in (a1, a2, a3)],
+        "k": str(args.k),
+        "degree": args.degree,
+        "hypothesis_holds": hypothesis,
+        "dimension": basis.dimension,
+        "basis": [p.to_text(engine.TAIL_VAR_NAMES) for p in basis.polynomials],
+        "pass": basis.dimension == 0 or not hypothesis,
+    }
+
+
+def _lemma_dificil(args) -> dict:
+    sol = engine.lemma_dificil_solve(args.k, args.n)
+    return {"lemma": "dificil", "k": str(args.k), "n": args.n, "solution": sol.to_dict(),
+            "pass": sol.conforms}
+
+
+def _lemma_sn(args) -> dict:
+    passed = engine.sn_recursion_check(args.n)
+    return {"lemma": "sn", "n": args.n, "identity_holds": passed, "pass": passed}
 
 
 def cmd_report(args) -> int:
@@ -320,14 +320,24 @@ def build_parser() -> CliParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("lemma", help="PDE lemma analyzers")
-    p.add_argument("which", choices=["estrella", "dificil", "sn"])
+    p.set_defaults(fn=cmd_lemma)
+    lemmas = p.add_subparsers(dest="which", required=True)
+    p = lemmas.add_parser("estrella", help="degree-m solutions g of the linear transport PDE")
     p.add_argument("--a", type=_three_rationals, default="1,0,0",
                    help="three comma-separated rationals")
     p.add_argument("--k", type=_fixed_k, default=Fraction(1, 2))
     p.add_argument("--degree", type=_int_at_least(0), default=3)
+    add_common(p)
+    p.set_defaults(lemma=_lemma_estrella)
+    p = lemmas.add_parser("dificil", help="joint g/h solutions of the hard PDE")
+    p.add_argument("--k", type=_fixed_k, default=Fraction(1, 2))
     p.add_argument("--n", type=_int_at_least(2), default=3)
     add_common(p)
-    p.set_defaults(fn=cmd_lemma)
+    p.set_defaults(lemma=_lemma_dificil)
+    p = lemmas.add_parser("sn", help="exact check of the S_n recursion")
+    p.add_argument("--n", type=_int_at_least(2), default=3)
+    add_common(p)
+    p.set_defaults(lemma=_lemma_sn)
 
     p = sub.add_parser("report", help="consolidated classification report")
     p.add_argument("--max-degree", type=_int_at_least(1), default=4)
@@ -339,8 +349,12 @@ def build_parser() -> CliParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args)
+    except OSError as exc:  # an --out path that cannot be written
+        parser.exit(1, "%s: error: %s\n" % (parser.prog, exc))
 
 
 if __name__ == "__main__":

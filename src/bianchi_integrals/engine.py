@@ -382,52 +382,34 @@ def lemma_dificil_solve(k: Fraction, n: int) -> DificilSolution:
 # -- The recursion identity behind the hard lemma -----------------------------
 
 
-def _sn_poly(n: int, nvars: int) -> MultiPoly:
-    """S_n = sum_i (3A1-A2)^(n-i) (A1+A2)^(n-i) (3A1+A2)^(i-1) (A1-A2)^(i-1) i a_i.
-
-    Variables: A1, A2, a_1..a_(nvars-2).
-    """
-    A1 = MultiPoly.variable(nvars, 0)
-    A2 = MultiPoly.variable(nvars, 1)
-    total = MultiPoly.zero(nvars)
-    for i in range(1, n + 1):
-        a_i = MultiPoly.variable(nvars, 1 + i)
-        term = (
-            ((3 * A1 - A2) * (A1 + A2)) ** (n - i)
-            * ((3 * A1 + A2) * (A1 - A2)) ** (i - 1)
-            * (i * a_i)
-        )
-        total += term
-    return total
-
-
-def _substitute_a1_neg_a2(p: MultiPoly) -> MultiPoly:
-    """Fold A1 -> -A2 exactly (variable 0 into variable 1)."""
-    out = MultiPoly.zero(p.nvars)
-    for mono, coeff in p.terms.items():
-        e = mono[0]
-        folded = (0, mono[1] + e) + mono[2:]
-        sign = -1 if e % 2 else 1
-        out += MultiPoly(p.nvars, {folded: coeff * sign})
-    return out
-
-
 def sn_recursion_check(n: int) -> bool:
-    """Exact polynomial identity check of the S_n recursion and its
-    specialization at A1 = -A2."""
+    """Exact check of the S_n recursion and its specialization at A1 = -A2.
+
+    S_n = sum_i P^(n-i) Q^(i-1) i a_i, with P = (3A1-A2)(A1+A2) and
+    Q = (3A1+A2)(A1-A2), is linear in the a_i.  So S_n = P S_(n-1) + n Q^(n-1) a_n
+    and S_n(-A2, A2) = n 4^(n-1) A2^(2n-2) a_n are checked one a_i
+    coefficient c_(n,i) = i P^(n-i) Q^(i-1) at a time, in Q[A1, A2].
+    """
     if n < 2:
         raise ValueError("n must be >= 2")
-    nvars = n + 2
-    A1 = MultiPoly.variable(nvars, 0)
-    A2 = MultiPoly.variable(nvars, 1)
-    a_n = MultiPoly.variable(nvars, 1 + n)
-    Sn = _sn_poly(n, nvars)
-    Sn1 = _sn_poly(n - 1, nvars)
-    rhs = (3 * A1 - A2) * (A1 + A2) * Sn1 + ((3 * A1 + A2) * (A1 - A2)) ** (n - 1) * (
-        n * a_n
-    )
-    if Sn != rhs:
-        return False
-    specialized = _substitute_a1_neg_a2(Sn)
-    expected = (n * Fraction(4) ** (n - 1)) * (A2 ** (2 * n - 2)) * a_n
-    return specialized == expected
+    # Integer coefficients keep the products free of Fraction arithmetic.
+    A1, A2 = MultiPoly(2, {(1, 0): 1}), MultiPoly(2, {(0, 1): 1})
+    P = (3 * A1 - A2) * (A1 + A2)
+    Q = (3 * A1 + A2) * (A1 - A2)
+    P_pow, Q_pow = [MultiPoly.constant(2, 1)], [MultiPoly.constant(2, 1)]
+    for _ in range(n - 1):
+        P_pow.append(P_pow[-1] * P)
+        Q_pow.append(Q_pow[-1] * Q)
+
+    def c(m: int, i: int) -> MultiPoly:  # the a_i coefficient of S_m
+        return i * P_pow[m - i] * Q_pow[i - 1]
+
+    for i in range(1, n + 1):
+        if i < n:
+            recursion, at_a1_neg_a2 = P * c(n - 1, i), MultiPoly.zero(2)
+        else:
+            recursion, at_a1_neg_a2 = n * Q ** (n - 1), n * 4 ** (n - 1) * A2 ** (2 * n - 2)
+        c_ni = c(n, i)
+        if c_ni != recursion or c_ni.evaluate((-A2, A2)) != at_a1_neg_a2:
+            return False
+    return True

@@ -256,6 +256,13 @@ class TestUsageErrors:
             ["lemma", "estrella", "--degree", "-1"],
             ["find", "--model", "II", "--k", "1"],
             ["report", "--k-samples", "1/2,x"],
+            # each lemma takes only the flags it reads
+            ["lemma", "sn", "--a", "9,9,9"],
+            ["lemma", "sn", "--k", "1/2"],
+            ["lemma", "sn", "--degree", "7"],
+            ["lemma", "estrella", "--n", "3"],
+            ["lemma", "dificil", "--a", "1,0,0"],
+            ["lemma", "dificil", "--degree", "3"],
         ],
     )
     def test_bad_value_exits_one_with_one_line_message(self, capsys, argv):
@@ -263,4 +270,16 @@ class TestUsageErrors:
         assert code == 1
         assert out == ""
         assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["lemma", "sn"], ["simulate", "--model", "I", "--t-end", "0.1"]],
+    )
+    def test_unwritable_out_path_exits_one_with_one_line_message(self, capsys, tmp_path, argv):
+        path = str(tmp_path / "missing" / "out.json")
+        code, out, err = run(capsys, argv + ["--out", path])
+        assert code == 1
+        assert out == ""
+        assert err.count("error:") == 1 and path in err.splitlines()[-1]
         assert "Traceback" not in err

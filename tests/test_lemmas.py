@@ -121,7 +121,7 @@ class TestDificil:
 
 
 class TestSnRecursion:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 40])
     def test_identity_holds(self, n):
         assert sn_recursion_check(n)
 
