@@ -8,6 +8,7 @@ simulate: the orbit stopped before t_end).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -48,6 +49,14 @@ class CliParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse hands a sub-command's unknown flags up to the root parser,
+        # which would report them with the root usage; report them here.
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: %s" % " ".join(extras))
+        return namespace, extras
 
 
 def _checked(cast: Callable, holds: Callable, need: str) -> Callable:
@@ -169,7 +178,10 @@ def cmd_simulate(args) -> int:
     model = BianchiModel.from_tag(args.model, args.k)
     x0 = args.x0 or _six_rationals(DEFAULT_X0.get(args.model, DEFAULT_X0_GENERIC))
     cfg = dynamics.IntegratorConfig(t_end=args.t_end, tol=args.tol)
-    traj = dynamics.integrate(model, [float(v) for v in x0], cfg)
+    # Open --out first, so an unwritable path fails before the integration.
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        traj = dynamics.integrate(model, [float(v) for v in x0], cfg)
+        dynamics.write_trajectory_csv(traj, fh)
     report = dynamics.drift_report(traj, dynamics.standard_invariants(model))
     payload = {
         "model": model.tag,
@@ -179,14 +191,10 @@ def cmd_simulate(args) -> int:
         "tol": args.tol,
         "drift": report.to_dict(),
     }
+    sidecar = None
     if args.out:
-        with open(args.out, "w") as fh:
-            dynamics.write_trajectory_csv(traj, fh)
-        sidecar = args.out[:-4] if args.out.endswith(".csv") else args.out
-        _emit(payload, sidecar + ".drift.json")
-    else:
-        dynamics.write_trajectory_csv(traj, sys.stdout)
-        _emit(payload, None)
+        sidecar = (args.out[:-4] if args.out.endswith(".csv") else args.out) + ".drift.json"
+    _emit(payload, sidecar)
     return 0 if traj.ok else 2
 
 

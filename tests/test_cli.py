@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bianchi_integrals import dynamics
 from bianchi_integrals.cli import main
 
 
@@ -276,10 +277,31 @@ class TestUsageErrors:
         "argv",
         [["lemma", "sn"], ["simulate", "--model", "I", "--t-end", "0.1"]],
     )
-    def test_unwritable_out_path_exits_one_with_one_line_message(self, capsys, tmp_path, argv):
+    def test_unwritable_out_path_exits_one_with_one_line_message(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        def integrate(*args):
+            raise AssertionError("integrated before the --out path was opened")
+
+        monkeypatch.setattr(dynamics, "integrate", integrate)
         path = str(tmp_path / "missing" / "out.json")
         code, out, err = run(capsys, argv + ["--out", path])
         assert code == 1
         assert out == ""
         assert err.count("error:") == 1 and path in err.splitlines()[-1]
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [
+            (["lemma", "sn", "--k", "1/2"], "usage: bianchi lemma sn "),
+            (["find", "--model", "IX", "--bogus", "1"], "usage: bianchi find "),
+        ],
+        ids=["lemma-sn", "find"],
+    )
+    def test_unknown_flag_reports_the_subcommand_usage(self, capsys, argv, usage):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(usage)
+        assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]

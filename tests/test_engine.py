@@ -17,6 +17,7 @@ from bianchi_integrals.engine import (
     kernel_basis,
 )
 from bianchi_integrals.multipoly import MultiPoly, monomial_key
+from bianchi_integrals.nullspace import _blocks
 from bianchi_integrals.vectorfields import (
     BIANCHI_TABLE,
     BianchiModel,
@@ -69,6 +70,24 @@ class TestAssembleSystem:
         X = build_bianchi(BianchiModel.from_tag("I", Fraction(1, 2)))
         with pytest.raises(ValueError):
             assemble_system(X, 0)
+
+    @pytest.mark.parametrize("tag", ["VIII", "IX"])
+    def test_blocks_are_the_parity_classes_of_the_x1_x3_degree(self, tag):
+        # The sign flip of (x1, x2, x3) is a symmetry of X, so every
+        # connected block lies in one parity class of the x1+x2+x3 degree;
+        # from m = 2 on each class is connected.
+        X = build_bianchi(BianchiModel.from_tag(tag, Fraction(1, 2)))
+        for m in range(1, 7):
+            system = assemble_system(X, m)
+            blocks = sorted(sorted(cols) for cols, _ in _blocks(system.rows, system.ncols))
+            classes = {}
+            for j, mono in enumerate(system.columns):
+                classes.setdefault(sum(mono[:3]) % 2, []).append(j)
+            if m == 1:  # X(x_i) = x_i * (linear in x4..x6) for i <= 3
+                assert blocks == [[0], [1], [2], [3, 4, 5]]
+            else:
+                assert blocks == sorted(classes.values())
+        assert sorted(map(len, blocks)) == [226, 236]
 
 
 class TestKernelVsOracle:

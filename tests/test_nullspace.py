@@ -110,3 +110,62 @@ def test_duplicate_rows_do_not_inflate_rank():
     basis, rank = sparse_kernel_basis(to_sparse(matrix), 3)
     assert rank == 1
     assert len(basis) == 2
+
+
+def _random_block(rng, nrows, ncols):
+    """A random rational block; singular at random (a column is a combination)."""
+    block = [
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    if ncols >= 2 and rng.random() < 0.4:
+        a, b = rng.sample(range(ncols), 2)
+        f = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        for row in block:
+            row[b] = f * row[a]
+    return block
+
+
+def test_shuffled_block_diagonal_matches_oracle_random():
+    # Blocks with their columns interleaved, tall, square and wide blocks,
+    # some singular, plus all-zero columns and empty rows.
+    rng = random.Random(7)
+    for trial in range(60):
+        shapes = [(rng.randint(1, 6), rng.randint(1, 5)) for _ in range(rng.randint(1, 4))]
+        nzero = rng.randint(0, 2)
+        ncols = sum(c for _, c in shapes) + nzero
+        order = list(range(ncols))
+        rng.shuffle(order)
+        matrix = []
+        start = 0
+        for nrows, width in shapes:
+            cols = order[start:start + width]
+            start += width
+            for brow in _random_block(rng, nrows, width):
+                row = [Fraction(0)] * ncols
+                for c, v in zip(cols, brow):
+                    row[c] = v
+                matrix.append(row)
+        matrix += [[Fraction(0)] * ncols for _ in range(rng.randint(0, 2))]
+        rng.shuffle(matrix)
+        basis, rank = sparse_kernel_basis(to_sparse(matrix), ncols)
+        assert rank == dense_rank(matrix)
+        assert [list(v) for v in basis] == dense_kernel(matrix, ncols)
+
+
+def test_full_rank_over_q_but_not_mod_p_falls_back():
+    p = 2**31 - 1
+    basis, rank = sparse_kernel_basis(to_sparse([[1, 1], [1, 1 + p]]), 2)
+    assert rank == 2
+    assert basis == []
+
+
+def test_denominator_divisible_by_p_falls_back():
+    p = 2**31 - 1
+    for matrix in (
+        [[Fraction(1, p), 1], [1, 1]],
+        [[Fraction(1, p), 1], [Fraction(2, p), 2], [1, p]],
+    ):
+        basis, rank = sparse_kernel_basis(to_sparse(matrix), 2)
+        assert rank == dense_rank(matrix)
+        assert [list(v) for v in basis] == dense_kernel(matrix, 2)
