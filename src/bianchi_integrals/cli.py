@@ -67,7 +67,7 @@ def _checked(cast: Callable, holds: Callable, need: str) -> Callable:
             value = cast(text)
             if holds(value):
                 return value
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError, OverflowError):
             pass
         raise argparse.ArgumentTypeError("expected %s, got %r" % (need, text))
 
@@ -86,7 +86,11 @@ _parse_k = _checked(
 _fixed_k = _checked(Fraction, lambda k: 0 <= k < 1, "a fixed rational k with 0 <= k < 1")
 _k_samples = _checked(_fractions, lambda ks: all(0 <= k < 1 for k in ks),
                       "comma-separated rationals k with 0 <= k < 1")
-_six_rationals = _checked(_fractions, lambda v: len(v) == 6, "six comma-separated rationals")
+_six_rationals = _checked(
+    _fractions,
+    lambda v: len(v) == 6 and all(math.isfinite(float(x)) for x in v),
+    "six comma-separated rationals within float range",
+)
 _three_rationals = _checked(_fractions, lambda v: len(v) == 3, "three comma-separated rationals")
 _finite_positive = _checked(float, lambda v: 0 < v < math.inf, "a finite positive number")
 

@@ -259,8 +259,8 @@ class DriftReport:
 def monitor_invariant(traj: Trajectory, inv: Invariant, name: str) -> DriftEntry:
     """Max relative drift of one invariant along the trajectory.
 
-    Domain failures are flagged; the drift is taken over the points where
-    the invariant is defined, and never produces non-finite values.
+    Domain failures, overflows and non-finite values are flagged; the drift
+    is taken over the points where the invariant is defined and finite.
     """
     violated = False
     value0 = None
@@ -268,7 +268,7 @@ def monitor_invariant(traj: Trajectory, inv: Invariant, name: str) -> DriftEntry
     for row in traj.x:
         try:
             v = inv(row)
-        except DomainError:
+        except (DomainError, OverflowError):
             violated = True
             continue
         if not math.isfinite(v):

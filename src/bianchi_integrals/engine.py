@@ -1,10 +1,12 @@
 """Homogeneous polynomial first-integral detection and PDE lemma analyzers.
 
 The annihilation condition X(P) = 0 on a degree-m homogeneous ansatz is
-assembled as an exact rational linear system whose kernel is the space of
-degree-m polynomial first integrals.  Kernel bases are recomputed
-canonically, re-verified against the Lie derivative, and compared to the
-expected dimensions per model.
+assembled as an exact linear system whose kernel is the space of degree-m
+polynomial first integrals.  At a fixed k it is the system of d*X, with d
+the lcm of X's denominators, so its entries are Python ints; in symbolic
+mode each k-power of a KPoly coefficient gets its own rational row.  Kernel
+bases are recomputed canonically, re-verified against the Lie derivative of
+X itself, and compared to the expected dimensions per model.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coefficients import K_MINUS_1_OVER_4, KPoly
@@ -53,11 +55,14 @@ class LinearSystem:
     """Sparse matrix of the annihilation condition.
 
     Rows are keyed by (output monomial, k-power); in fixed-k mode the
-    k-power is always 0.  Columns follow the ansatz monomial order.
+    k-power is always 0.  Columns follow the ansatz monomial order.  At a
+    fixed k the rows are those of d*X (d the lcm of X's denominators) and
+    hold Python ints; in symbolic mode they hold the Fraction coefficients
+    of each k-power.
     """
 
     columns: Tuple[Monomial, ...]
-    rows: List[Dict[int, Fraction]]
+    rows: List[SparseRow]
     row_keys: List[Tuple[Monomial, int]]
 
     @property
@@ -100,13 +105,34 @@ def _rows(images: Iterable[MultiPoly]) -> Tuple[List[SparseRow], List[Tuple[Mono
     return [rowmap[k] for k in keys], keys
 
 
+def _integer_multiple(X: VectorField) -> VectorField:
+    """d*X, with d the lcm of the denominators of X's rational coefficients.
+
+    A field with a KPoly coefficient (symbolic k) is returned as it is.
+    """
+    coeffs = [c for comp in X.components for c in comp.terms.values()]
+    if any(isinstance(c, KPoly) for c in coeffs):
+        return X
+    d = lcm(*(c.denominator for c in coeffs))
+    return VectorField(tuple(
+        comp.map_coefficients(lambda c: c.numerator * (d // c.denominator))
+        for comp in X.components
+    ))
+
+
 def assemble_system(X: VectorField, m: int) -> LinearSystem:
-    """Linear system whose kernel is {degree-m homogeneous first integrals}."""
+    """Linear system whose kernel is {degree-m homogeneous first integrals}.
+
+    At a fixed k the system of d*X is assembled instead (integer rows, the
+    same kernel): each of its rows is d times a row of X's system, so it has
+    the same primitive integer row.
+    """
     if m < 1:
         raise ValueError("ansatz degree must be >= 1")
     basis = enumerate_monomials(X.nvars, m)
+    X = _integer_multiple(X)
     # A generator, so each image is dropped once its rows are read.
-    rows, keys = _rows(lie_derivative(X, MultiPoly.from_monomial(X.nvars, mono)) for mono in basis)
+    rows, keys = _rows(lie_derivative(X, MultiPoly(X.nvars, {mono: 1})) for mono in basis)
     return LinearSystem(tuple(basis), rows, keys)
 
 

@@ -30,7 +30,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-SparseRow = Dict[int, Fraction]
+SparseRow = Dict[int, Fraction]  # entries may also be ints
 
 PIVOT_RULE = "first-nonzero"
 
@@ -71,13 +71,16 @@ def _full_rank_mod_p(rows: Sequence[SparseRow], cols: Sequence[int]) -> bool:
     if len(rows) < len(cols):
         return False
     index = {c: j for j, c in enumerate(cols)}
+    inverse = {}  # one inverse mod PRIME per distinct denominator
     a = np.zeros((len(rows), len(cols)), dtype=np.int64)
     for i, row in enumerate(rows):
         for c, v in row.items():
-            d = v.denominator % PRIME
-            if not d:
-                return False
-            a[i, index[c]] = v.numerator * pow(d, -1, PRIME) % PRIME
+            d = v.denominator
+            if d not in inverse:
+                if not d % PRIME:
+                    return False
+                inverse[d] = pow(d, -1, PRIME)
+            a[i, index[c]] = v.numerator * inverse[d] % PRIME
     for j in range(len(cols)):
         nonzero = np.flatnonzero(a[j:, j])
         if not nonzero.size:

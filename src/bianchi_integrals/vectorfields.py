@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from operator import add
+from typing import Dict, Optional, Sequence, Tuple
 
 from .coefficients import K_MINUS_1_OVER_2, K_MINUS_1_OVER_4, KPoly
-from .multipoly import MultiPoly
+from .multipoly import Monomial, MultiPoly
 
 NVARS = 6
 
@@ -115,15 +116,31 @@ def build_bianchi(model: BianchiModel) -> VectorField:
 
 
 def lie_derivative(X: VectorField, p: MultiPoly) -> MultiPoly:
-    """sum_i X_i * dp/dx_i, computed exactly."""
+    """sum_i X_i * dp/dx_i, computed exactly.
+
+    Expanded term by term into one dict: a term c*x^a of p with a_i > 0
+    meets each term d*x^b of X_i in d*a_i*c * x^(a-e_i+b).  Zero sums are
+    dropped once, at the end.
+    """
     if p.nvars != X.nvars:
         raise ValueError("variable count mismatch")
-    total = MultiPoly.zero(p.nvars)
+    out: Dict[Monomial, object] = {}
     for i, comp in enumerate(X.components):
-        d = p.partial_derivative(i)
-        if d:
-            total += comp * d
-    return total
+        comp_terms = comp.terms.items()
+        for a, c in p.terms.items():
+            e = a[i]
+            if e:
+                lowered = a[:i] + (e - 1,) + a[i + 1:]
+                ce = c * e
+                for b, d in comp_terms:
+                    mono = tuple(map(add, lowered, b))
+                    if mono in out:
+                        out[mono] += d * ce
+                    else:
+                        out[mono] = d * ce
+    result = MultiPoly(p.nvars)
+    result.terms = {mono: v for mono, v in out.items() if v}
+    return result
 
 
 def divide_by_variable(p: MultiPoly, var_index: int) -> MultiPoly:

@@ -2,14 +2,22 @@
 
 Deliberately separate from the package's sparse fraction-free path: plain
 textbook Gauss-Jordan over Fraction on dense list-of-lists matrices, with
-its own matrix assembly from the Lie derivative.
+its own matrix assembly from the product rule X(p) = sum_i X_i dp/dx_i,
+built with MultiPoly products and sums rather than `lie_derivative`.
 """
 
 from fractions import Fraction
 
 from bianchi_integrals.engine import enumerate_monomials
 from bianchi_integrals.multipoly import MultiPoly, monomial_key
-from bianchi_integrals.vectorfields import lie_derivative
+
+
+def product_rule_image(X, p):
+    """sum_i X_i * dp/dx_i from MultiPoly partial derivatives, products and sums."""
+    total = MultiPoly.zero(p.nvars)
+    for i, comp in enumerate(X.components):
+        total = total + comp * p.partial_derivative(i)
+    return total
 
 
 def dense_rref(matrix):
@@ -63,10 +71,10 @@ def dense_kernel(matrix, ncols):
 
 def annihilation_matrix(X, m):
     """Dense matrix of the degree-m annihilation condition, assembled
-    directly from Lie derivatives of the ansatz monomials."""
+    directly from the product-rule images of the ansatz monomials."""
     columns = enumerate_monomials(X.nvars, m)
     images = [
-        lie_derivative(X, MultiPoly.from_monomial(X.nvars, mono)) for mono in columns
+        product_rule_image(X, MultiPoly.from_monomial(X.nvars, mono)) for mono in columns
     ]
     out_monos = sorted(
         {mono for img in images for mono in img.terms}, key=monomial_key, reverse=True

@@ -138,6 +138,24 @@ class TestSimulate:
         assert sidecar["drift"]["status"] == "completed"
         assert len(path.read_text().splitlines()) < 1000  # ~131 steps
 
+    def test_invariant_overflow_is_flagged_not_raised(self, capsys, tmp_path):
+        # The start is finite, but H = (x1 x2 x3)^(-1/4) F overflows in F.
+        path = tmp_path / "orbit.csv"
+        code, _, err = run(
+            capsys,
+            ["simulate", "--model", "II", "--x0", "1,2,3,1,2,1e200",
+             "--t-end", "0.01", "--out", str(path)],
+        )
+        assert code == 2
+        assert "Traceback" not in err
+        sidecar = json.loads((tmp_path / "orbit.drift.json").read_text())
+        assert sidecar["drift"]["status"] == "step_underflow"
+        x5_x6, H = sidecar["drift"]["invariants"]
+        assert x5_x6["name"] == "x5-x6" and not x5_x6["domain_violation"]
+        assert x5_x6["initial_value"] == -1e200
+        assert H["name"] == "H" and H["domain_violation"]
+        assert H["initial_value"] is None
+
     def test_symbolic_k_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["simulate", "--model", "IX", "--k", "symbolic"])
         assert code == 1
@@ -264,6 +282,8 @@ class TestUsageErrors:
             ["lemma", "estrella", "--n", "3"],
             ["lemma", "dificil", "--a", "1,0,0"],
             ["lemma", "dificil", "--degree", "3"],
+            # every start coordinate must convert to a finite float
+            ["simulate", "--model", "IX", "--x0", "1,2,3,1,2,1e400"],
         ],
     )
     def test_bad_value_exits_one_with_one_line_message(self, capsys, argv):

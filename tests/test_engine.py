@@ -17,7 +17,7 @@ from bianchi_integrals.engine import (
     kernel_basis,
 )
 from bianchi_integrals.multipoly import MultiPoly, monomial_key
-from bianchi_integrals.nullspace import _blocks
+from bianchi_integrals.nullspace import _blocks, sparse_kernel_basis
 from bianchi_integrals.vectorfields import (
     BIANCHI_TABLE,
     BianchiModel,
@@ -65,6 +65,7 @@ class TestAssembleSystem:
         system = assemble_system(X, 1)
         powers = {key[1] for key in system.row_keys}
         assert powers == {0, 1}
+        assert all(type(v) is Fraction for row in system.rows for v in row.values())
 
     def test_rejects_degree_zero(self):
         X = build_bianchi(BianchiModel.from_tag("I", Fraction(1, 2)))
@@ -90,6 +91,35 @@ class TestAssembleSystem:
         assert sorted(map(len, blocks)) == [226, 236]
 
 
+class TestIntegerAssembly:
+    """At a fixed k the system is assembled from d*X in integer arithmetic."""
+
+    @pytest.mark.parametrize("tag", sorted(BIANCHI_TABLE))
+    @pytest.mark.parametrize("k", [Fraction(1, 2), Fraction(3, 7), Fraction(0)])
+    def test_integer_rows_with_the_kernel_of_the_rational_rows(self, tag, k):
+        X = build_bianchi(BianchiModel.from_tag(tag, k))
+        for m in (1, 2, 3, 4):
+            system = assemble_system(X, m)
+            assert all(type(v) is int for row in system.rows for v in row.values())
+            # The rows of X itself, in the same row order.
+            images = [
+                lie_derivative(X, MultiPoly.from_monomial(6, mono)) for mono in system.columns
+            ]
+            rows, keys = engine._rows(images)
+            assert keys == system.row_keys
+            assert any(v.denominator > 1 for row in rows for v in row.values())
+            # Each integer row is one common positive multiple d of its row.
+            ratios = {
+                Fraction(v) / rows[i][c] for i, row in enumerate(system.rows)
+                for c, v in row.items()
+            }
+            assert [row.keys() for row in system.rows] == [row.keys() for row in rows]
+            assert len(ratios) == 1 and ratios.pop() > 0
+            assert sparse_kernel_basis(system.rows, system.ncols) == sparse_kernel_basis(
+                rows, system.ncols
+            )
+
+
 class TestKernelVsOracle:
     """The optimized sparse path must agree with the naive dense oracle."""
 
@@ -100,10 +130,8 @@ class TestKernelVsOracle:
         basis = kernel_basis(X, m)
         oracle_vectors, columns = oracle.kernel_oracle(X, m)
         assert columns == list(assemble_system(X, m).columns)
-        assert len(basis.vectors) == len(oracle_vectors)
-        assert oracle.same_subspace(
-            [list(v) for v in basis.vectors], oracle_vectors
-        )
+        # Both give the canonical basis: one vector per free column.
+        assert [list(v) for v in basis.vectors] == oracle_vectors
 
     def test_k_sample_grid_degree_two(self):
         for tag in ("I", "II", "VIII"):

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bianchi_integrals.coefficients import K_MINUS_1_OVER_4, KPoly
+from bianchi_integrals.engine import _integer_multiple
 from bianchi_integrals.multipoly import MultiPoly
 from bianchi_integrals.vectorfields import (
     BIANCHI_TABLE,
@@ -23,6 +26,7 @@ from bianchi_integrals.vectorfields import (
 )
 
 from conftest import random_poly
+from oracle import product_rule_image
 
 X6 = [MultiPoly.variable(6, i) for i in range(6)]
 TAIL_QUADRATIC = (
@@ -159,6 +163,46 @@ class TestLieDerivative:
             not lie_derivative(X, comp).is_zero()
             for comp in q.homogeneous_components()
         )
+
+
+_fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+@st.composite
+def _field_and_poly(draw):
+    """A Bianchi field (fixed k, symbolic k or integer multiple) and a p.
+
+    p is random terms plus c * g * q, with g one of the model's known
+    integrals (or F), so that many products in X(p) cancel.
+    """
+    tag = draw(st.sampled_from(sorted(BIANCHI_TABLE)))
+    mode = draw(st.sampled_from(["fixed", "symbolic", "integer"]))
+    k = None if mode == "symbolic" else Fraction(draw(st.integers(0, 8)), 9)
+    X = build_bianchi(BianchiModel.from_tag(tag, k))
+    if mode == "integer":
+        X = _integer_multiple(X)
+    monos = st.tuples(*[st.integers(0, 3)] * 6)
+    p = MultiPoly(6, draw(st.dictionaries(monos, _fractions, max_size=5)))
+    g = draw(st.sampled_from(polynomial_integrals(tag) + (build_F(*BIANCHI_TABLE[tag]),)))
+    q = MultiPoly(6, draw(st.dictionaries(monos, _fractions, min_size=1, max_size=3)))
+    return X, p + draw(_fractions) * g * q
+
+
+class TestLieDerivativeProductRule:
+    @settings(max_examples=150, deadline=None)
+    @given(_field_and_poly())
+    def test_equals_sum_of_component_times_partial(self, field_and_poly):
+        X, p = field_and_poly
+        image = lie_derivative(X, p)
+        assert image == product_rule_image(X, p)
+        assert all(image.terms.values())  # no zero coefficient is kept
+
+    def test_cancellation_to_zero(self):
+        for k in (Fraction(1, 2), None):
+            X = build_bianchi(BianchiModel.from_tag("I", k))
+            p = (X6[3] - X6[4]) ** 3 * (X6[3] - X6[5]) ** 2
+            assert lie_derivative(X, p).is_zero()
+            assert lie_derivative(_integer_multiple(X), p).is_zero()
 
 
 class TestWeightedPowerIntegral:
