@@ -6,10 +6,8 @@ from .multipoly import MultiPoly
 from .vectorfields import (
     BianchiModel,
     VectorField,
-    WeightedPowerIntegral,
     build_F,
     build_bianchi,
-    hamiltonian_integral,
     lie_derivative,
     polynomial_integrals,
     verify_weighted_power_integral,
@@ -33,12 +31,10 @@ __all__ = [
     "MultiPoly",
     "NullspaceBasis",
     "VectorField",
-    "WeightedPowerIntegral",
     "build_F",
     "build_bianchi",
     "degree_sweep",
     "enumerate_monomials",
-    "hamiltonian_integral",
     "independence_rank",
     "kernel_basis",
     "lemma_dificil_solve",

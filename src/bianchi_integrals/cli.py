@@ -20,7 +20,6 @@ from .vectorfields import (
     MODEL_TAGS,
     BianchiModel,
     build_bianchi,
-    hamiltonian_integral,
     lie_derivative,
     polynomial_integrals,
     verify_weighted_power_integral,
@@ -149,7 +148,7 @@ def cmd_verify(args) -> int:
     X = build_bianchi(model)
     checks = []
     ok_all = True
-    passed, witness = verify_weighted_power_integral(X, hamiltonian_integral(model))
+    passed, witness = verify_weighted_power_integral(X, model)
     checks.append(
         {
             "integral": "(x1*x2*x3)^((k-1)/2) * F",
@@ -243,7 +242,7 @@ def cmd_report(args) -> int:
             model = BianchiModel.from_tag(tag, k)
             sweep = engine.degree_sweep(model, args.max_degree)
             X = build_bianchi(model)
-            hx_ok, _ = verify_weighted_power_integral(X, hamiltonian_integral(model))
+            hx_ok, _ = verify_weighted_power_integral(X, model)
             cell = {
                 "model": tag,
                 "statement": STATEMENT_OF_MODEL[tag],

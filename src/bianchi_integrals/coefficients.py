@@ -32,10 +32,6 @@ class KPoly:
     def constant(cls, value) -> "KPoly":
         return cls((Fraction(value),))
 
-    @classmethod
-    def zero(cls) -> "KPoly":
-        return cls()
-
     @property
     def degree(self) -> int:
         """Degree with the convention deg 0 = -1."""

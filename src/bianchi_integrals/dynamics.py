@@ -115,37 +115,39 @@ def integrate(
     accepted = 0
     rejected = 0
     status = "completed"
-    k1 = rhs(C, y)
-    while t < cfg.t_end:
-        if accepted + rejected >= cfg.max_steps:
-            status = "max_steps"
-            break
-        if h < 1e-15 * max(1.0, abs(t)):
-            status = "step_underflow"
-            break
-        h = min(h, cfg.t_end - t)
-        stages = [k1]
-        for s in range(1, 7):
-            yi = y + h * sum(a * ki for a, ki in zip(_A[s], stages))
-            stages.append(rhs(C, yi))
-        y5 = y + h * sum(b * ki for b, ki in zip(_B5, stages))
-        y4 = y + h * sum(b * ki for b, ki in zip(_B4, stages))
-        scale = cfg.tol + cfg.tol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
-        if err <= 1.0:
-            t += h
-            y = y5
-            k1 = stages[6]  # FSAL
-            ts.append(t)
-            ys.append(y.copy())
-            accepted += 1
-            err = max(err, 1e-10)
-            factor = _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA
-            err_prev = err
-            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        else:
-            rejected += 1
-            h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
+    # A trial step that overflows is rejected: its err is not <= 1.
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = rhs(C, y)
+        while t < cfg.t_end:
+            if accepted + rejected >= cfg.max_steps:
+                status = "max_steps"
+                break
+            if h < 1e-15 * max(1.0, abs(t)):
+                status = "step_underflow"
+                break
+            h = min(h, cfg.t_end - t)
+            stages = [k1]
+            for s in range(1, 7):
+                yi = y + h * sum(a * ki for a, ki in zip(_A[s], stages))
+                stages.append(rhs(C, yi))
+            y5 = y + h * sum(b * ki for b, ki in zip(_B5, stages))
+            y4 = y + h * sum(b * ki for b, ki in zip(_B4, stages))
+            scale = cfg.tol + cfg.tol * np.maximum(np.abs(y), np.abs(y5))
+            err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
+            if err <= 1.0:
+                t += h
+                y = y5
+                k1 = stages[6]  # FSAL
+                ts.append(t)
+                ys.append(y.copy())
+                accepted += 1
+                err = max(err, 1e-10)
+                factor = _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA
+                err_prev = err
+                h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            else:
+                rejected += 1
+                h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
     return Trajectory(np.array(ts), np.vstack(ys), status, accepted, rejected)
 
 

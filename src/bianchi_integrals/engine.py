@@ -2,11 +2,12 @@
 
 The annihilation condition X(P) = 0 on a degree-m homogeneous ansatz is
 assembled as an exact linear system whose kernel is the space of degree-m
-polynomial first integrals.  At a fixed k it is the system of d*X, with d
-the lcm of X's denominators, so its entries are Python ints; in symbolic
-mode each k-power of a KPoly coefficient gets its own rational row.  Kernel
-bases are recomputed canonically, re-verified against the Lie derivative of
-X itself, and compared to the expected dimensions per model.
+polynomial first integrals.  Its entries are Python ints in both modes: X
+is split by the power of k (one part at a fixed k, the k^0 and k^1 parts in
+symbolic mode), each part is scaled by d, the lcm of X's denominators, and
+each part's image gets its own rows.  Kernel bases are recomputed
+canonically, re-verified against the Lie derivative of X itself, and
+compared to the expected dimensions per model.
 """
 
 from __future__ import annotations
@@ -55,10 +56,9 @@ class LinearSystem:
     """Sparse matrix of the annihilation condition.
 
     Rows are keyed by (output monomial, k-power); in fixed-k mode the
-    k-power is always 0.  Columns follow the ansatz monomial order.  At a
-    fixed k the rows are those of d*X (d the lcm of X's denominators) and
-    hold Python ints; in symbolic mode they hold the Fraction coefficients
-    of each k-power.
+    k-power is always 0.  Columns follow the ansatz monomial order.  The
+    rows are those of the integer parts d*X_p (d the lcm of X's
+    denominators) and hold Python ints in both modes.
     """
 
     columns: Tuple[Monomial, ...]
@@ -84,55 +84,54 @@ class NullspaceBasis:
         return len(self.vectors)
 
 
-def _rows(images: Iterable[MultiPoly]) -> Tuple[List[SparseRow], List[Tuple[Monomial, int]]]:
-    """Sparse rows of the linear map sending unknown j to the j-th image.
+def _rows(columns: Iterable[Sequence[MultiPoly]]) -> Tuple[List[SparseRow], List[Tuple[Monomial, int]]]:
+    """Sparse rows of the linear map sending unknown j to column j's images.
 
-    Each row is keyed by (output monomial, k-power), largest first; a
-    KPoly coefficient puts each of its k-powers in its own row, so the
-    kernel holds for all k simultaneously.  Rational coefficients have
-    k-power 0.
+    Column j holds one image per power of k, so each row is keyed by
+    (output monomial, k-power), largest first, and in symbolic mode the
+    kernel holds for all k simultaneously.  A single image has k-power 0.
     """
     rowmap: Dict[Tuple[Monomial, int], SparseRow] = {}
-    for j, image in enumerate(images):
-        for out_mono, coeff in image.terms.items():
-            if isinstance(coeff, KPoly):
-                for power, c in enumerate(coeff.coeffs):
-                    if c:
-                        rowmap.setdefault((out_mono, power), {})[j] = c
-            else:
-                rowmap.setdefault((out_mono, 0), {})[j] = coeff
+    for j, images in enumerate(columns):
+        for power, image in enumerate(images):
+            for out_mono, coeff in image.terms.items():
+                rowmap.setdefault((out_mono, power), {})[j] = coeff
     keys = sorted(rowmap, key=lambda mk: (monomial_key(mk[0]), mk[1]), reverse=True)
     return [rowmap[k] for k in keys], keys
 
 
-def _integer_multiple(X: VectorField) -> VectorField:
-    """d*X, with d the lcm of the denominators of X's rational coefficients.
+def _integer_parts(X: VectorField) -> List[VectorField]:
+    """[d*X_0, d*X_1, ...]: X split by the power of k, d the lcm of all its denominators.
 
-    A field with a KPoly coefficient (symbolic k) is returned as it is.
+    A rational coefficient is its own k^0 part, so at a fixed k this is [d*X].
     """
-    coeffs = [c for comp in X.components for c in comp.terms.values()]
-    if any(isinstance(c, KPoly) for c in coeffs):
-        return X
-    d = lcm(*(c.denominator for c in coeffs))
-    return VectorField(tuple(
-        comp.map_coefficients(lambda c: c.numerator * (d // c.denominator))
-        for comp in X.components
-    ))
+    split = [[(mono, c.coeffs if isinstance(c, KPoly) else (c,)) for mono, c in comp.terms.items()]
+             for comp in X.components]
+    d = lcm(*(c.denominator for comp in split for _, cs in comp for c in cs))
+    nparts = max(len(cs) for comp in split for _, cs in comp)
+    return [
+        VectorField(tuple(
+            MultiPoly(X.nvars, {mono: int(cs[p] * d) for mono, cs in comp if p < len(cs)})
+            for comp in split))
+        for p in range(nparts)
+    ]
 
 
 def assemble_system(X: VectorField, m: int) -> LinearSystem:
     """Linear system whose kernel is {degree-m homogeneous first integrals}.
 
-    At a fixed k the system of d*X is assembled instead (integer rows, the
-    same kernel): each of its rows is d times a row of X's system, so it has
-    the same primitive integer row.
+    It is assembled from the integer parts d*X_p of X, one Lie derivative per
+    part and ansatz monomial: each row is d times the k^p row of X's system,
+    so it has the same primitive integer row.
     """
     if m < 1:
         raise ValueError("ansatz degree must be >= 1")
     basis = enumerate_monomials(X.nvars, m)
-    X = _integer_multiple(X)
-    # A generator, so each image is dropped once its rows are read.
-    rows, keys = _rows(lie_derivative(X, MultiPoly(X.nvars, {mono: 1})) for mono in basis)
+    parts = _integer_parts(X)
+    # A generator, so each column's images are dropped once its rows are read.
+    rows, keys = _rows(
+        [lie_derivative(part, MultiPoly(X.nvars, {mono: 1})) for part in parts] for mono in basis
+    )
     return LinearSystem(tuple(basis), rows, keys)
 
 
@@ -350,7 +349,7 @@ def lemma_estrella_solve(
     y = [MultiPoly.variable(3, i) for i in range(3)]
     monos = enumerate_monomials(3, m)
     images = _transport_images(a1 * y[0] + a2 * y[1] + a3 * y[2], k, monos)
-    vectors, _ = sparse_kernel_basis(_rows(images)[0], len(images))
+    vectors, _ = sparse_kernel_basis(_rows(zip(images))[0], len(images))
     polys = [_vector_to_poly(v, monos) for v in vectors]
     return NullspaceBasis(vectors, polys)
 
@@ -388,7 +387,7 @@ def lemma_dificil_solve(k: Fraction, n: int) -> DificilSolution:
     for i in range(n + 1):
         h_i = (u ** i) * (v ** (n - i))
         images.append(h_i.partial_derivative(1))
-    vectors, _ = sparse_kernel_basis(_rows(images)[0], len(images))
+    vectors, _ = sparse_kernel_basis(_rows(zip(images))[0], len(images))
     ncols_g = len(g_monos)
     g_basis = []
     h_coeffs = []

@@ -155,48 +155,25 @@ def divide_by_variable(p: MultiPoly, var_index: int) -> MultiPoly:
     return MultiPoly(p.nvars, out)
 
 
-@dataclass(frozen=True)
-class WeightedPowerIntegral:
-    """G = prod_i x_i^w_i * factor, with possibly non-integer weights.
-
-    Weights are Rational or KPoly; zero weights are excluded from the
-    product, so G is defined wherever the remaining coordinates are
-    positive.
-    """
-
-    weights: Tuple[object, ...]
-    factor: MultiPoly
-
-
-def verify_weighted_power_integral(X: VectorField, G: WeightedPowerIntegral):
-    """Exact check that G is a first integral of X.
+def verify_weighted_power_integral(X: VectorField, model: BianchiModel):
+    """Exact check that the energy integral (x1 x2 x3)^w * F, w = (k-1)/2, is
+    a first integral of X.
 
     Dividing the transcendental prefactor out of dG/dt = 0 leaves the
     polynomial identity
 
-        factor * sum_i w_i * (X_i / x_i) + X(factor) = 0,
+        F * w * sum_{i<=3} (X_i / x_i) + X(F) = 0,
 
-    which is returned together with its left-hand side as witness.
-    Components with nonzero weight must be exactly divisible by their
-    coordinate; failure raises DivisibilityError rather than reporting
-    False.
+    which is returned together with its left-hand side as witness.  Each
+    X_i, i <= 3, must be exactly divisible by x_i; failure raises
+    DivisibilityError rather than reporting False.
     """
-    if len(G.weights) != X.nvars:
-        raise ValueError("weight count mismatch")
-    residual = lie_derivative(X, G.factor)
-    for i, w in enumerate(G.weights):
-        if not w:
-            continue
-        quotient = divide_by_variable(X.components[i], i)
-        residual += (G.factor * quotient) * w
-    return residual.is_zero(), residual
-
-
-def hamiltonian_integral(model: BianchiModel) -> WeightedPowerIntegral:
-    """The energy-derived integral (x1 x2 x3)^((k-1)/2) * F."""
+    F = build_F(*model.n)
     w = K_MINUS_1_OVER_2 if model.symbolic else K_MINUS_1_OVER_2(model.k)
-    zero = KPoly.zero() if model.symbolic else Fraction(0)
-    return WeightedPowerIntegral((w, w, w, zero, zero, zero), build_F(*model.n))
+    residual = lie_derivative(X, F)
+    for i in range(3):
+        residual += (F * divide_by_variable(X.components[i], i)) * w
+    return residual.is_zero(), residual
 
 
 def polynomial_integrals(tag: str) -> Tuple[MultiPoly, ...]:

@@ -8,6 +8,7 @@ built with MultiPoly products and sums rather than `lie_derivative`.
 
 from fractions import Fraction
 
+from bianchi_integrals.coefficients import KPoly
 from bianchi_integrals.engine import enumerate_monomials
 from bianchi_integrals.multipoly import MultiPoly, monomial_key
 
@@ -69,19 +70,29 @@ def dense_kernel(matrix, ncols):
     return basis
 
 
+def k_powers(coeff):
+    """Coefficients of k^0, k^1, ... of a rational or KPoly coefficient."""
+    return coeff.coeffs if isinstance(coeff, KPoly) else (coeff,)
+
+
 def annihilation_matrix(X, m):
     """Dense matrix of the degree-m annihilation condition, assembled
-    directly from the product-rule images of the ansatz monomials."""
+    directly from the product-rule images of the ansatz monomials: one row
+    per output monomial and power of k, so that a symbolic-k kernel holds
+    for every k."""
     columns = enumerate_monomials(X.nvars, m)
     images = [
         product_rule_image(X, MultiPoly.from_monomial(X.nvars, mono)) for mono in columns
     ]
-    out_monos = sorted(
-        {mono for img in images for mono in img.terms}, key=monomial_key, reverse=True
+    split = [{mono: k_powers(c) for mono, c in img.terms.items()} for img in images]
+    out_keys = sorted(
+        {(mono, power) for img in split for mono, cs in img.items() for power in range(len(cs))},
+        key=lambda mk: (monomial_key(mk[0]), mk[1]), reverse=True,
     )
     matrix = []
-    for mono in out_monos:
-        matrix.append([Fraction(img.terms.get(mono, 0)) for img in images])
+    for mono, power in out_keys:
+        cs_of = [img.get(mono, ()) for img in split]
+        matrix.append([Fraction(cs[power]) if power < len(cs) else Fraction(0) for cs in cs_of])
     return matrix, columns
 
 

@@ -34,7 +34,6 @@ from bianchi_integrals.vectorfields import (
     BIANCHI_TABLE,
     BianchiModel,
     build_bianchi,
-    hamiltonian_integral,
     lie_derivative,
     verify_weighted_power_integral,
 )
@@ -121,7 +120,7 @@ def test_criterion_4_energy_identity_symbolic(capsys):
     for tag in ALL_TAGS:
         model = BianchiModel.from_tag(tag, None)
         X = build_bianchi(model)
-        passed, witness = verify_weighted_power_integral(X, hamiltonian_integral(model))
+        passed, witness = verify_weighted_power_integral(X, model)
         ok &= passed and witness.is_zero()
     emit(capsys, 4, ok, "energy integral identity holds symbolically in k "
          "for all six models with zero witness")

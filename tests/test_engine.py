@@ -65,7 +65,7 @@ class TestAssembleSystem:
         system = assemble_system(X, 1)
         powers = {key[1] for key in system.row_keys}
         assert powers == {0, 1}
-        assert all(type(v) is Fraction for row in system.rows for v in row.values())
+        assert all(type(v) is int for row in system.rows for v in row.values())
 
     def test_rejects_degree_zero(self):
         X = build_bianchi(BianchiModel.from_tag("I", Fraction(1, 2)))
@@ -91,21 +91,30 @@ class TestAssembleSystem:
         assert sorted(map(len, blocks)) == [226, 236]
 
 
+def _k_power_rows(X, columns):
+    """Rows of X's own system: its Lie derivative images, split by k-power."""
+    rowmap = {}
+    for j, mono in enumerate(columns):
+        for out, c in lie_derivative(X, MultiPoly.from_monomial(6, mono)).terms.items():
+            for power, v in enumerate(oracle.k_powers(c)):
+                if v:
+                    rowmap.setdefault((out, power), {})[j] = v
+    keys = sorted(rowmap, key=lambda mk: (monomial_key(mk[0]), mk[1]), reverse=True)
+    return [rowmap[key] for key in keys], keys
+
+
 class TestIntegerAssembly:
-    """At a fixed k the system is assembled from d*X in integer arithmetic."""
+    """The system is assembled from the integer parts d*X_p in integer arithmetic."""
 
     @pytest.mark.parametrize("tag", sorted(BIANCHI_TABLE))
-    @pytest.mark.parametrize("k", [Fraction(1, 2), Fraction(3, 7), Fraction(0)])
+    @pytest.mark.parametrize("k", [Fraction(1, 2), Fraction(3, 7), Fraction(0), None])
     def test_integer_rows_with_the_kernel_of_the_rational_rows(self, tag, k):
         X = build_bianchi(BianchiModel.from_tag(tag, k))
         for m in (1, 2, 3, 4):
             system = assemble_system(X, m)
             assert all(type(v) is int for row in system.rows for v in row.values())
             # The rows of X itself, in the same row order.
-            images = [
-                lie_derivative(X, MultiPoly.from_monomial(6, mono)) for mono in system.columns
-            ]
-            rows, keys = engine._rows(images)
+            rows, keys = _k_power_rows(X, system.columns)
             assert keys == system.row_keys
             assert any(v.denominator > 1 for row in rows for v in row.values())
             # Each integer row is one common positive multiple d of its row.
@@ -118,6 +127,17 @@ class TestIntegerAssembly:
             assert sparse_kernel_basis(system.rows, system.ncols) == sparse_kernel_basis(
                 rows, system.ncols
             )
+
+    def test_one_part_per_power_of_k(self):
+        fixed = build_bianchi(BianchiModel.from_tag("IX", Fraction(1, 2)))
+        assert len(engine._integer_parts(fixed)) == 1
+        # 4X = 4X_0 + k*4X_1, and k enters only X_4..X_6 through (k-1)/4.
+        X = build_bianchi(BianchiModel.from_tag("IX", None))
+        parts = engine._integer_parts(X)
+        assert len(parts) == 2
+        for comp, part0, part1 in zip(X.components, parts[0].components, parts[1].components):
+            assert part0 == comp.map_coefficients(lambda c: 4 * c(0))
+            assert part1 == comp.map_coefficients(lambda c: 4 * (c(1) - c(0)))
 
 
 class TestKernelVsOracle:
@@ -132,6 +152,13 @@ class TestKernelVsOracle:
         assert columns == list(assemble_system(X, m).columns)
         # Both give the canonical basis: one vector per free column.
         assert [list(v) for v in basis.vectors] == oracle_vectors
+
+    @pytest.mark.parametrize("tag", sorted(BIANCHI_TABLE))
+    def test_symbolic_k_canonical_basis(self, tag):
+        X = build_bianchi(BianchiModel.from_tag(tag, None))
+        for m in (1, 2, 3):
+            oracle_vectors, _ = oracle.kernel_oracle(X, m)
+            assert [list(v) for v in kernel_basis(X, m).vectors] == oracle_vectors
 
     def test_k_sample_grid_degree_two(self):
         for tag in ("I", "II", "VIII"):

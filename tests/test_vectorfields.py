@@ -6,17 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bianchi_integrals.coefficients import K_MINUS_1_OVER_4, KPoly
-from bianchi_integrals.engine import _integer_multiple
+from bianchi_integrals.engine import _integer_parts
 from bianchi_integrals.multipoly import MultiPoly
 from bianchi_integrals.vectorfields import (
     BIANCHI_TABLE,
     BianchiModel,
     DivisibilityError,
-    WeightedPowerIntegral,
+    VectorField,
     build_F,
     build_bianchi,
     hamiltonian_energy,
-    hamiltonian_integral,
     hamiltonian_to_state,
     lie_derivative,
     polynomial_integrals,
@@ -170,17 +169,18 @@ _fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
 
 @st.composite
 def _field_and_poly(draw):
-    """A Bianchi field (fixed k, symbolic k or integer multiple) and a p.
+    """A Bianchi field (fixed k, symbolic k, or an integer part of either) and a p.
 
     p is random terms plus c * g * q, with g one of the model's known
     integrals (or F), so that many products in X(p) cancel.
     """
     tag = draw(st.sampled_from(sorted(BIANCHI_TABLE)))
-    mode = draw(st.sampled_from(["fixed", "symbolic", "integer"]))
-    k = None if mode == "symbolic" else Fraction(draw(st.integers(0, 8)), 9)
+    mode = draw(st.sampled_from(["fixed", "symbolic", "integer", "symbolic-integer"]))
+    k = None if mode.startswith("symbolic") else Fraction(draw(st.integers(0, 8)), 9)
     X = build_bianchi(BianchiModel.from_tag(tag, k))
-    if mode == "integer":
-        X = _integer_multiple(X)
+    if mode.endswith("integer"):
+        parts = _integer_parts(X)
+        X = parts[draw(st.integers(0, len(parts) - 1))]
     monos = st.tuples(*[st.integers(0, 3)] * 6)
     p = MultiPoly(6, draw(st.dictionaries(monos, _fractions, max_size=5)))
     g = draw(st.sampled_from(polynomial_integrals(tag) + (build_F(*BIANCHI_TABLE[tag]),)))
@@ -202,7 +202,7 @@ class TestLieDerivativeProductRule:
             X = build_bianchi(BianchiModel.from_tag("I", k))
             p = (X6[3] - X6[4]) ** 3 * (X6[3] - X6[5]) ** 2
             assert lie_derivative(X, p).is_zero()
-            assert lie_derivative(_integer_multiple(X), p).is_zero()
+            assert lie_derivative(_integer_parts(X)[0], p).is_zero()
 
 
 class TestWeightedPowerIntegral:
@@ -210,7 +210,7 @@ class TestWeightedPowerIntegral:
         for tag in BIANCHI_TABLE:
             model = BianchiModel.from_tag(tag, None)
             X = build_bianchi(model)
-            ok, witness = verify_weighted_power_integral(X, hamiltonian_integral(model))
+            ok, witness = verify_weighted_power_integral(X, model)
             assert ok, "energy integral fails for %s: %s" % (tag, witness)
             assert witness.is_zero()
 
@@ -219,27 +219,22 @@ class TestWeightedPowerIntegral:
             for k in (Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)):
                 model = BianchiModel.from_tag(tag, k)
                 X = build_bianchi(model)
-                ok, _ = verify_weighted_power_integral(X, hamiltonian_integral(model))
+                ok, _ = verify_weighted_power_integral(X, model)
                 assert ok
 
-    def test_zero_weights_give_nonzero_witness(self):
-        model = BianchiModel.from_tag("IX", Fraction(1, 2))
-        X = build_bianchi(model)
-        G = WeightedPowerIntegral((Fraction(0),) * 6, build_F(1, 1, 1))
-        ok, witness = verify_weighted_power_integral(X, G)
+    def test_field_at_another_k_gives_nonzero_witness(self):
+        X = build_bianchi(BianchiModel.from_tag("IX", Fraction(1, 2)))
+        ok, witness = verify_weighted_power_integral(X, BianchiModel.from_tag("IX", Fraction(0)))
         assert not ok
-        assert witness == lie_derivative(X, build_F(1, 1, 1))
+        assert not witness.is_zero()
 
     def test_divisibility_failure_is_an_error_not_false(self):
         model = BianchiModel.from_tag("IX", Fraction(1, 2))
         X = build_bianchi(model)
-        w = Fraction(1)
-        # weight on x4: component 4 is not divisible by x4
-        G = WeightedPowerIntegral(
-            (Fraction(0),) * 3 + (w, Fraction(0), Fraction(0)), build_F(1, 1, 1)
-        )
+        # x2^2 in the first component is not divisible by x1
+        bad = VectorField((X.components[0] + X6[1] * X6[1],) + X.components[1:])
         with pytest.raises(DivisibilityError):
-            verify_weighted_power_integral(X, G)
+            verify_weighted_power_integral(bad, model)
 
 
 class TestRestrictedField:
