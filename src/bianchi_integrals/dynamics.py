@@ -182,11 +182,8 @@ def _delta(x) -> float:
     return x4 * x4 + x5 * x5 + x6 * x6 - x4 * x5 - x4 * x6 - x5 * x6
 
 
-def _ratio(x) -> float:
+def _ratio(x, d: float) -> float:
     s = x[3] + x[4] + x[5]
-    d = _delta(x)
-    if d < 0:
-        raise DomainError("negative discriminant")  # impossible over the reals
     root = math.sqrt(d)
     num = s - 2 * root
     den = s + 2 * root
@@ -200,13 +197,15 @@ def transcendental_invariant(k: float, i: int, j: int) -> Invariant:
     system, with 0-based coordinate indices i, j in {0, 1, 2}."""
 
     def fn(x):
+        if x[j] == 0:
+            raise DomainError("x%d = 0" % (j + 1))
         base = x[i] / x[j]
         if base <= 0:
             raise DomainError("x%d/x%d <= 0" % (i + 1, j + 1))
         d = _delta(x)
         if d <= 0:
             raise DomainError("degenerate discriminant")
-        return base ** ((1 - k) / 2) * _ratio(x) ** ((x[i + 3] - x[j + 3]) / math.sqrt(d))
+        return base ** ((1 - k) / 2) * _ratio(x, d) ** ((x[i + 3] - x[j + 3]) / math.sqrt(d))
 
     return fn
 

@@ -275,8 +275,7 @@ def _jacobian_row(item, point):
 
     n = len(point)
     if isinstance(item, MultiPoly):
-        frac_point = tuple(Fraction(v) for v in point)
-        return np.array([float(item.partial_derivative(i).evaluate(frac_point)) for i in range(n)])
+        return np.array([float(item.partial_derivative(i).evaluate(point)) for i in range(n)])
     base = [float(v) for v in point]
     row = []
     for i in range(n):
@@ -327,14 +326,21 @@ def _f123() -> MultiPoly:
 TAIL_VAR_NAMES = ("x4", "x5", "x6")
 
 
-def _transport_images(linear: MultiPoly, k: Fraction, monos: List[Monomial]) -> List[MultiPoly]:
-    """linear * g + (k-1)/4 F123 (g_4 + g_5 + g_6) for each monomial g."""
-    transport = VectorField((K_MINUS_1_OVER_4(Fraction(k)) * _f123(),) * 3)
+def _transport_images(linear: MultiPoly, k: Fraction, monos: List[Monomial]) -> Tuple[int, List[MultiPoly]]:
+    """d and d * (linear * g + (k-1)/4 F123 (g_4 + g_5 + g_6)) for each monomial g.
+
+    d, the lcm of the denominators of (k-1)/4 and of linear, makes the images
+    integral.  The kernel stays the same if every other column is scaled by d.
+    """
+    c = K_MINUS_1_OVER_4(Fraction(k))
+    d = lcm(c.denominator, *(v.denominator for v in linear.terms.values()))
+    linear = linear.map_coefficients(lambda v: int(d * v))
+    transport = VectorField((int(d * c) * _f123(),) * 3)
     images = []
     for mono in monos:
         g = MultiPoly.from_monomial(3, mono)
         images.append(linear * g + lie_derivative(transport, g))
-    return images
+    return d, images
 
 
 def lemma_estrella_solve(
@@ -348,7 +354,7 @@ def lemma_estrella_solve(
         raise ValueError("degree must be >= 0")
     y = [MultiPoly.variable(3, i) for i in range(3)]
     monos = enumerate_monomials(3, m)
-    images = _transport_images(a1 * y[0] + a2 * y[1] + a3 * y[2], k, monos)
+    _, images = _transport_images(a1 * y[0] + a2 * y[1] + a3 * y[2], k, monos)
     vectors, _ = sparse_kernel_basis(_rows(zip(images))[0], len(images))
     polys = [_vector_to_poly(v, monos) for v in vectors]
     return NullspaceBasis(vectors, polys)
@@ -383,10 +389,10 @@ def lemma_dificil_solve(k: Fraction, n: int) -> DificilSolution:
     u = y[0] - y[1]  # x4 - x5
     v = y[0] - y[2]  # x4 - x6
     g_monos = enumerate_monomials(3, n - 2)
-    images = _transport_images(2 * (y[0] - y[1] + y[2]), k, g_monos)
+    d, images = _transport_images(2 * (y[0] - y[1] + y[2]), k, g_monos)
     for i in range(n + 1):
         h_i = (u ** i) * (v ** (n - i))
-        images.append(h_i.partial_derivative(1))
+        images.append(d * h_i.partial_derivative(1))
     vectors, _ = sparse_kernel_basis(_rows(zip(images))[0], len(images))
     ncols_g = len(g_monos)
     g_basis = []
@@ -417,8 +423,7 @@ def sn_recursion_check(n: int) -> bool:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    # Integer coefficients keep the products free of Fraction arithmetic.
-    A1, A2 = MultiPoly(2, {(1, 0): 1}), MultiPoly(2, {(0, 1): 1})
+    A1, A2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
     P = (3 * A1 - A2) * (A1 + A2)
     Q = (3 * A1 + A2) * (A1 - A2)
     P_pow, Q_pow = [MultiPoly.constant(2, 1)], [MultiPoly.constant(2, 1)]

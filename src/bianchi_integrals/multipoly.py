@@ -61,11 +61,11 @@ class MultiPoly:
         if not 0 <= index < nvars:
             raise ValueError("variable index %d out of range" % index)
         mono = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {mono: Fraction(1)})
+        return cls(nvars, {mono: 1})
 
     @classmethod
     def from_monomial(cls, nvars: int, mono: Monomial) -> "MultiPoly":
-        return cls(nvars, {tuple(mono): Fraction(1)})
+        return cls(nvars, {tuple(mono): 1})
 
     # -- queries -----------------------------------------------------------
 
@@ -179,7 +179,7 @@ class MultiPoly:
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.constant(self.nvars, Fraction(1))
+        result = MultiPoly.constant(self.nvars, 1)
         base = self
         e = exponent
         while e:

@@ -1,9 +1,11 @@
-"""Exact kernel computation for sparse rational matrices.
+"""Exact kernel computation for sparse integer matrices.
 
-The columns are split into the connected blocks of the row/column graph;
-each row goes to the block of its columns.  The kernel is the direct sum of
-the block kernels, and its canonical basis is the union of the canonical
-block bases, ordered by free column.
+The rows are {column: int}: a row producer scales its rows to integers,
+which keeps the kernel, and a Fraction entry raises TypeError.  The columns
+are split into the connected blocks of the row/column graph; each row goes
+to the block of its columns.  The kernel is the direct sum of the block
+kernels, and its canonical basis is the union of the canonical block bases,
+ordered by free column.
 
 A block with at least as many rows as columns is first reduced mod the prime
 p = 2^31 - 1, densely in numpy int64 (entries stay below 2^31, so products
@@ -24,13 +26,14 @@ column and 0 at every other free column.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-SparseRow = Dict[int, Fraction]  # entries may also be ints
+SparseRow = Dict[int, int]
 
 PIVOT_RULE = "first-nonzero"
 
@@ -71,16 +74,11 @@ def _full_rank_mod_p(rows: Sequence[SparseRow], cols: Sequence[int]) -> bool:
     if len(rows) < len(cols):
         return False
     index = {c: j for j, c in enumerate(cols)}
-    inverse = {}  # one inverse mod PRIME per distinct denominator
     a = np.zeros((len(rows), len(cols)), dtype=np.int64)
     for i, row in enumerate(rows):
         for c, v in row.items():
-            d = v.denominator
-            if d not in inverse:
-                if not d % PRIME:
-                    return False
-                inverse[d] = pow(d, -1, PRIME)
-            a[i, index[c]] = v.numerator * inverse[d] % PRIME
+            # numpy would truncate a Fraction stored here; index() rejects it.
+            a[i, index[c]] = operator.index(v) % PRIME
     for j in range(len(cols)):
         nonzero = np.flatnonzero(a[j:, j])
         if not nonzero.size:
@@ -93,18 +91,17 @@ def _full_rank_mod_p(rows: Sequence[SparseRow], cols: Sequence[int]) -> bool:
     return True
 
 
-def _primitive(row: Dict[int, int]) -> Dict[int, int]:
+def _primitive(row: SparseRow) -> SparseRow:
     """Divide an integer row by the gcd of its entries."""
     g = gcd(*row.values())
     return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
-def _echelon(rows: Sequence[SparseRow]) -> Dict[int, Dict[int, int]]:
-    """Pivot table {leading column: primitive integer row} of the rows."""
-    pivots: Dict[int, Dict[int, int]] = {}
+def _echelon(rows: Sequence[SparseRow]) -> Dict[int, SparseRow]:
+    """Pivot table {leading column: primitive row} of the rows."""
+    pivots: Dict[int, SparseRow] = {}
     for row in rows:
-        scale = lcm(*(v.denominator for v in row.values()))
-        row = _primitive({c: int(v * scale) for c, v in row.items() if v})
+        row = _primitive({c: v for c, v in row.items() if v})
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
@@ -119,7 +116,7 @@ def _echelon(rows: Sequence[SparseRow]) -> Dict[int, Dict[int, int]]:
     return pivots
 
 
-def _exact_kernel(rows: Sequence[SparseRow], cols: Sequence[int]) -> Tuple[List[SparseRow], int]:
+def _exact_kernel(rows: Sequence[SparseRow], cols: Sequence[int]) -> Tuple[List[Dict[int, Fraction]], int]:
     """Canonical kernel vectors {column: value} and rank of one block."""
     pivots = _echelon(rows)
     pivot_cols = sorted(pivots, reverse=True)
@@ -140,8 +137,8 @@ def _exact_kernel(rows: Sequence[SparseRow], cols: Sequence[int]) -> Tuple[List[
 def sparse_kernel_basis(
     rows: Sequence[SparseRow], ncols: int
 ) -> Tuple[List[Tuple[Fraction, ...]], int]:
-    """Kernel basis and rank of the matrix given as sparse rational rows."""
-    vectors: List[SparseRow] = []
+    """Kernel basis and rank of the matrix given as sparse integer rows."""
+    vectors: List[Dict[int, Fraction]] = []
     rank = 0
     for cols, block in _blocks(rows, ncols):
         if _full_rank_mod_p(block, cols):

@@ -78,15 +78,13 @@ def build_F(n1: int, n2: int, n3: int) -> MultiPoly:
     for n in (n1, n2, n3):
         if n not in (-1, 0, 1):
             raise ValueError("sign entries must lie in {-1, 0, 1}, got %r" % (n,))
-    one = Fraction(1)
     x = [MultiPoly.variable(NVARS, i) for i in range(NVARS)]
-    F = (
+    return (
         n1 * n1 * x[0] * x[0] + n2 * n2 * x[1] * x[1] + n3 * n3 * x[2] * x[2]
         - 2 * n1 * n2 * x[0] * x[1] - 2 * n1 * n3 * x[0] * x[2] - 2 * n2 * n3 * x[1] * x[2]
         + x[3] * x[3] + x[4] * x[4] + x[5] * x[5]
         - 2 * x[3] * x[4] - 2 * x[4] * x[5] - 2 * x[3] * x[5]
     )
-    return F * one
 
 
 def build_bianchi(model: BianchiModel) -> VectorField:

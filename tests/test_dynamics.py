@@ -165,6 +165,20 @@ class TestInvariants:
         with pytest.raises(DomainError):
             inv((1.0, 1.0, 1.0, 2.0, 2.0, 2.0))  # degenerate discriminant
 
+    @pytest.mark.filterwarnings("error")
+    def test_transcendental_on_the_x2_hyperplane_is_flagged_without_warning(self):
+        # x2 = 0 is invariant: x1/x2 divides by zero and x2/x3 is 0.
+        model = BianchiModel.from_tag("I", Fraction(1, 2))
+        traj = integrate(model, (1.0, 0.0, 3.0, 1.0, 2.0, 4.0), IntegratorConfig(t_end=0.1))
+        assert traj.ok and not traj.x[:, 1].any()
+        report = drift_report(traj, standard_invariants(model))
+        for name in ("trans(x1/x2)", "trans(x2/x3)"):
+            entry = report.entry(name)
+            assert entry.domain_violation and entry.initial_value is None
+        assert not report.entry("x4-x5").domain_violation
+        with pytest.raises(DomainError):
+            transcendental_invariant(0.5, 0, 1)((1.0, 0.0, 3.0, 1.0, 2.0, 4.0))
+
     def test_monitor_flags_domain_violations_without_crashing(self):
         model = BianchiModel.from_tag("IX", Fraction(1, 2))
         traj = integrate(model, X0_IX, IntegratorConfig(t_end=0.1))

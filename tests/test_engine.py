@@ -124,9 +124,10 @@ class TestIntegerAssembly:
             }
             assert [row.keys() for row in system.rows] == [row.keys() for row in rows]
             assert len(ratios) == 1 and ratios.pop() > 0
-            assert sparse_kernel_basis(system.rows, system.ncols) == sparse_kernel_basis(
-                rows, system.ncols
-            )
+            if m < 4:  # the dense oracle takes seconds at m = 4
+                basis, _ = sparse_kernel_basis(system.rows, system.ncols)
+                dense = [[row.get(c, 0) for c in range(system.ncols)] for row in rows]
+                assert [list(v) for v in basis] == oracle.dense_kernel(dense, system.ncols)
 
     def test_one_part_per_power_of_k(self):
         fixed = build_bianchi(BianchiModel.from_tag("IX", Fraction(1, 2)))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from bianchi_integrals import engine
 from bianchi_integrals.engine import (
     _f123,
     lemma_dificil_solve,
@@ -109,6 +110,23 @@ class TestDificil:
         # g = 0, so only the h_x5 term remains and it must vanish
         assert h.partial_derivative(1).is_zero()
 
+    def test_solutions_with_nonzero_g_satisfy_pde(self):
+        # At k = 7/3, outside [0, 1), some solutions have g != 0.  The g
+        # columns are scaled by d; the h columns must be scaled by the same
+        # d, or the reported g would be off by that factor.
+        k, n = Fraction(7, 3), 4
+        sol = lemma_dificil_solve(k, n)
+        assert sol.dimension == 2 and not sol.conforms
+        y = tail_vars()
+        u, v = y[0] - y[1], y[0] - y[2]
+        F = _f123()
+        for g, a in zip(sol.g_basis, sol.h_coefficients):
+            h = sum((a[i] * u ** i * v ** (n - i) for i in range(n + 1)), MultiPoly.zero(3))
+            sigma = sum((g.partial_derivative(i) for i in range(3)), MultiPoly.zero(3))
+            lhs = 2 * (y[0] - y[1] + y[2]) * g + (k - 1) / 4 * (F * sigma) + h.partial_derivative(1)
+            assert lhs.is_zero()
+        assert any(sol.g_basis)
+
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             lemma_dificil_solve(Fraction(1, 2), 1)
@@ -118,6 +136,24 @@ class TestDificil:
         assert d["dimension"] == 1
         assert d["conforms"] is True
         assert d["g_basis"] == ["0"]
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: lemma_estrella_solve(Fraction(1, 3), Fraction(2, 5), Fraction(7), Fraction(5, 9), 3),
+    lambda: lemma_estrella_solve(Fraction(0), Fraction(0), Fraction(0), Fraction(3, 7), 2),
+    lambda: lemma_dificil_solve(Fraction(5, 9), 4),
+])
+def test_lemma_rows_are_ints(solve, monkeypatch):
+    # Each builder scales its images by d itself; nullspace takes int rows only.
+    seen, real = [], engine.sparse_kernel_basis
+
+    def capture(rows, ncols):
+        seen.extend(rows)
+        return real(rows, ncols)
+
+    monkeypatch.setattr(engine, "sparse_kernel_basis", capture)
+    solve()
+    assert seen and all(type(v) is int for row in seen for v in row.values())
 
 
 class TestSnRecursion:
