@@ -324,7 +324,9 @@ def build_parser() -> CliParser:
     p = sub.add_parser("simulate", help="integrate an orbit and monitor drift")
     p.add_argument("--model", required=True, choices=MODEL_TAGS)
     p.add_argument("--k", type=_fixed_k, default=Fraction(1, 2))
-    p.add_argument("--x0", type=_six_rationals, default=None, help="six comma-separated rationals")
+    p.add_argument("--x0", type=_six_rationals, default=None,
+                   help="six comma-separated rationals"
+                        " (--x0=-1,2,3,1,2,4 if the first is negative)")
     p.add_argument("--t-end", type=_finite_positive, default=1.0)
     p.add_argument("--tol", type=_finite_positive, default=1e-12)
     add_common(p)
@@ -335,7 +337,7 @@ def build_parser() -> CliParser:
     lemmas = p.add_subparsers(dest="which", required=True)
     p = lemmas.add_parser("estrella", help="degree-m solutions g of the linear transport PDE")
     p.add_argument("--a", type=_three_rationals, default="1,0,0",
-                   help="three comma-separated rationals")
+                   help="three comma-separated rationals (--a=-1,0,0 if the first is negative)")
     p.add_argument("--k", type=_fixed_k, default=Fraction(1, 2))
     p.add_argument("--degree", type=_int_at_least(0), default=3)
     add_common(p)

@@ -250,12 +250,6 @@ class DriftReport:
             "invariants": [e.to_dict() for e in self.entries],
         }
 
-    def entry(self, name: str) -> DriftEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
 
 def monitor_invariant(traj: Trajectory, inv: Invariant, name: str) -> DriftEntry:
     """Max relative drift of one invariant along the trajectory.

@@ -1,4 +1,4 @@
-"""Sparse exact multivariate polynomials over Rational or KPoly coefficients.
+"""Sparse exact multivariate polynomials over Fraction, int or KPoly coefficients.
 
 Monomials are exponent tuples of fixed length (one entry per state
 variable).  The canonical term order is graded lexicographic with
@@ -14,10 +14,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .coefficients import KPoly
 
 Monomial = Tuple[int, ...]
-
-
-def monomial_degree(mono: Monomial) -> int:
-    return sum(mono)
 
 
 def monomial_key(mono: Monomial):
@@ -74,16 +70,6 @@ class MultiPoly:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def total_degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(monomial_degree(m) for m in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degrees = {monomial_degree(m) for m in self.terms}
-        return len(degrees) <= 1
 
     def ordered_terms(self) -> List[Tuple[Monomial, object]]:
         """Terms in canonical order, largest monomial first."""
@@ -206,29 +192,6 @@ class MultiPoly:
         result = MultiPoly(self.nvars)
         result.terms = out
         return result
-
-    def restrict(self, var_index: int, value) -> "MultiPoly":
-        """Substitute x[var_index] = value; the variable count is preserved."""
-        if not 0 <= var_index < self.nvars:
-            raise ValueError("variable index %d out of range" % var_index)
-        out = MultiPoly.zero(self.nvars)
-        for mono, coeff in self.terms.items():
-            e = mono[var_index]
-            if e == 0:
-                out += MultiPoly(self.nvars, {mono: coeff})
-            else:
-                scaled = coeff * (Fraction(value) ** e)
-                if scaled:
-                    flat = mono[:var_index] + (0,) + mono[var_index + 1:]
-                    out += MultiPoly(self.nvars, {flat: scaled})
-        return out
-
-    def homogeneous_components(self) -> List["MultiPoly"]:
-        """Split into homogeneous parts, ascending in degree; [] for 0."""
-        buckets: Dict[int, Dict[Monomial, object]] = {}
-        for mono, coeff in self.terms.items():
-            buckets.setdefault(monomial_degree(mono), {})[mono] = coeff
-        return [MultiPoly(self.nvars, buckets[d]) for d in sorted(buckets)]
 
     def evaluate(self, point: Sequence):
         """Exact (or float, if the point is float) evaluation."""

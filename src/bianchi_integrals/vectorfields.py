@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from .coefficients import K_MINUS_1_OVER_2, K_MINUS_1_OVER_4, KPoly
 from .multipoly import Monomial, MultiPoly
@@ -90,8 +90,8 @@ def build_F(n1: int, n2: int, n3: int) -> MultiPoly:
 def build_bianchi(model: BianchiModel) -> VectorField:
     """The quadratic system for the given model.
 
-    Fixed-k mode yields Rational coefficients; symbolic mode coerces every
-    coefficient to KPoly so identities are checked in Q[k].
+    Fixed-k mode yields Fraction or int coefficients; symbolic mode coerces
+    every coefficient to KPoly so identities are checked in Q[k].
     """
     n1, n2, n3 = model.n
     x = [MultiPoly.variable(NVARS, i) for i in range(NVARS)]
@@ -183,43 +183,3 @@ def polynomial_integrals(tag: str) -> Tuple[MultiPoly, ...]:
         return (x[4] - x[5],)
     return ()
 
-
-def restricted_field(X: VectorField, var_index: int) -> VectorField:
-    """The system on the invariant hyperplane x[var_index] = 0."""
-    return VectorField(tuple(c.restrict(var_index, Fraction(0)) for c in X.components))
-
-
-# -- Hamiltonian coordinate map -----------------------------------------------
-
-
-def hamiltonian_to_state(q: Sequence, p: Sequence) -> Tuple:
-    """(q, p) -> x with x_i = q_i and x_{i+3} = 2 p_i q_i."""
-    if len(q) != 3 or len(p) != 3:
-        raise ValueError("expected three q's and three p's")
-    return tuple(q) + tuple(2 * pi * qi for pi, qi in zip(p, q))
-
-
-def state_to_hamiltonian(x: Sequence) -> Tuple[Tuple, Tuple]:
-    """Inverse map; requires q_i = x_i nonzero."""
-    if len(x) != NVARS:
-        raise ValueError("expected six state entries")
-    for i in range(3):
-        if x[i] == 0:
-            raise ZeroDivisionError("inverse map undefined at x%d = 0" % (i + 1))
-    q = tuple(x[:3])
-    p = tuple(x[i + 3] / (2 * x[i]) for i in range(3))
-    return q, p
-
-
-def hamiltonian_energy(q: Sequence, p: Sequence, n: Tuple[int, int, int], k: float) -> float:
-    """The original phase-space energy function, evaluated in floats."""
-    q1, q2, q3 = (float(v) for v in q)
-    p1, p2, p3 = (float(v) for v in p)
-    n1, n2, n3 = n
-    T = 2 * (p1 * p2 * q1 * q2 + p1 * p3 * q1 * q3 + p2 * p3 * q2 * q3) - (
-        p1 * p1 * q1 * q1 + p2 * p2 * q2 * q2 + p3 * p3 * q3 * q3
-    )
-    VG = 2 * (n1 * n2 * q1 * q2 + n1 * n3 * q1 * q3 + n2 * n3 * q2 * q3) - (
-        n1 * n1 * q1 * q1 + n2 * n2 * q2 * q2 + n3 * n3 * q3 * q3
-    )
-    return (q1 * q2 * q3) ** ((k - 1) / 2) * (T + VG / 4)

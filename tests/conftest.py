@@ -31,3 +31,17 @@ def random_poly(rng, nvars, max_degree=3, max_terms=6, bits=8):
         if coeff:
             terms[tuple(mono)] = terms.get(tuple(mono), Fraction(0)) + coeff
     return MultiPoly(nvars, {m: c for m, c in terms.items() if c})
+
+
+def homogeneous_parts(p):
+    """p split by degree: {degree: the terms of p of that degree}."""
+    parts = {}
+    for mono, coeff in p.terms.items():
+        parts.setdefault(sum(mono), {})[mono] = coeff
+    return {d: MultiPoly(p.nvars, terms) for d, terms in parts.items()}
+
+
+def drift_entry(report, name):
+    """The entry of a dynamics.DriftReport for the invariant called name."""
+    (entry,) = [e for e in report.entries if e.name == name]
+    return entry

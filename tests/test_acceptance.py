@@ -13,8 +13,6 @@ tolerance.
 import time
 from fractions import Fraction
 
-import pytest
-
 from bianchi_integrals.dynamics import (
     IntegratorConfig,
     drift_report,
@@ -31,7 +29,6 @@ from bianchi_integrals.engine import (
 )
 from bianchi_integrals.multipoly import MultiPoly
 from bianchi_integrals.vectorfields import (
-    BIANCHI_TABLE,
     BianchiModel,
     build_bianchi,
     lie_derivative,
@@ -39,6 +36,7 @@ from bianchi_integrals.vectorfields import (
 )
 
 import oracle
+from conftest import drift_entry
 
 K_SAMPLES = (Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10))
 ALL_TAGS = ("I", "II", "VI0", "VII0", "VIII", "IX")
@@ -224,15 +222,15 @@ def test_criterion_7_dynamics_conservation(capsys):
     # polynomial invariants < 1e-10
     for tag, names in (("I", ("x4-x5", "x4-x6")), ("II", ("x5-x6",))):
         for name in names:
-            entry = reports[tag].entry(name)
+            entry = drift_entry(reports[tag], name)
             ok &= entry.drift is not None and entry.drift < 1e-10
     # energy integral < 1e-8
     for tag in ALL_TAGS:
-        entry = reports[tag].entry("H")
+        entry = drift_entry(reports[tag], "H")
         ok &= entry.drift is not None and entry.drift < 1e-8
     # transcendental invariants < 1e-6
     for name in ("trans(x1/x2)", "trans(x2/x3)"):
-        entry = reports["I"].entry(name)
+        entry = drift_entry(reports["I"], name)
         ok &= not entry.domain_violation
         ok &= entry.drift is not None and entry.drift < 1e-6
     details.append("drift bounds at defaults %s" % ("hold" if ok else "fail"))
@@ -249,8 +247,8 @@ def test_criterion_7_dynamics_conservation(capsys):
     inv = standard_invariants(model)
     r_base = drift_report(base, inv)
     r_half = drift_report(half, inv)
-    h_base = r_base.entry("H").drift
-    h_half = r_half.entry("H").drift
+    h_base = drift_entry(r_base, "H").drift
+    h_half = drift_entry(r_half, "H").drift
     halving_ok = h_half > 0 and h_base >= 1.5 * h_half
     ok &= halving_ok
     details.append(
@@ -262,8 +260,8 @@ def test_criterion_7_dynamics_conservation(capsys):
             h_base / h_half if h_half else float("inf"),
         )
     )
-    l_base = r_base.entry("x5-x6").drift
-    l_half = r_half.entry("x5-x6").drift
+    l_base = drift_entry(r_base, "x5-x6").drift
+    l_half = drift_entry(r_half, "x5-x6").drift
     roundoff_ok = l_base < 1e-13 and l_half < 1e-13
     ok &= roundoff_ok
     details.append(

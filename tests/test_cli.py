@@ -327,3 +327,18 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith(usage)
         assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+
+    @pytest.mark.parametrize(
+        "argv, key, echoed",
+        [
+            (["simulate", "--model", "I", "--x0=-1,2,3,1,2,4", "--t-end", "0.01"],
+             "x0", "-1,2,3,1,2,4"),
+            (["lemma", "estrella", "--a=-1,0,0", "--degree", "1"], "a", ["-1", "0", "0"]),
+        ],
+        ids=["x0", "a"],
+    )
+    def test_negative_first_value_parses_in_the_equals_form(self, capsys, argv, key, echoed):
+        # argparse takes "-1,2,..." after a space for a flag, not a value
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert json.loads(out[out.index("{"):])[key] == echoed

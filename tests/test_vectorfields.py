@@ -1,11 +1,10 @@
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bianchi_integrals.coefficients import K_MINUS_1_OVER_4, KPoly
+from bianchi_integrals.coefficients import KPoly
 from bianchi_integrals.engine import _integer_parts
 from bianchi_integrals.multipoly import MultiPoly
 from bianchi_integrals.vectorfields import (
@@ -15,16 +14,13 @@ from bianchi_integrals.vectorfields import (
     VectorField,
     build_F,
     build_bianchi,
-    hamiltonian_energy,
-    hamiltonian_to_state,
+    divide_by_variable,
     lie_derivative,
     polynomial_integrals,
-    restricted_field,
-    state_to_hamiltonian,
     verify_weighted_power_integral,
 )
 
-from conftest import random_poly
+from conftest import homogeneous_parts, random_poly
 from oracle import product_rule_image
 
 X6 = [MultiPoly.variable(6, i) for i in range(6)]
@@ -101,15 +97,14 @@ class TestBuildBianchi:
         for tag in BIANCHI_TABLE:
             X = build_bianchi(BianchiModel.from_tag(tag, Fraction(1, 2)))
             for comp in X.components:
-                assert comp.is_homogeneous()
-                assert comp.total_degree() == 2
+                assert {sum(mono) for mono in comp.terms} == {2}
 
     def test_coordinate_hyperplanes_invariant(self):
-        # components 1..3 vanish on their own hyperplane
+        # components 1..3 vanish on their own hyperplane: x_i divides X_i
         for tag in BIANCHI_TABLE:
             X = build_bianchi(BianchiModel.from_tag(tag, Fraction(2, 3)))
             for i in range(3):
-                assert X.components[i].restrict(i, Fraction(0)).is_zero()
+                divide_by_variable(X.components[i], i)
 
     def test_symbolic_mode_uses_kpoly(self):
         X = build_bianchi(BianchiModel.from_tag("IX", None))
@@ -142,11 +137,9 @@ class TestLieDerivative:
             X = build_bianchi(BianchiModel.from_tag(tag, Fraction(1, 2)))
             for _ in range(10):
                 p = random_poly(rng, 6, max_degree=5)
-                for comp in p.homogeneous_components():
+                for d, comp in homogeneous_parts(p).items():
                     image = lie_derivative(X, comp)
-                    if image:
-                        assert image.is_homogeneous()
-                        assert image.total_degree() == comp.total_degree() + 1
+                    assert {sum(mono) for mono in image.terms} <= {d + 1}
 
     def test_analytic_integral_iff_components_are(self, rng):
         # degree-wise decomposition: the Lie derivative of the whole
@@ -154,13 +147,13 @@ class TestLieDerivative:
         X = build_bianchi(BianchiModel.from_tag("I", Fraction(1, 2)))
         p = (X6[3] - X6[4]) + (X6[3] - X6[5]) ** 2
         assert lie_derivative(X, p).is_zero()
-        for comp in p.homogeneous_components():
+        for comp in homogeneous_parts(p).values():
             assert lie_derivative(X, comp).is_zero()
         q = p + X6[0] ** 3
         assert not lie_derivative(X, q).is_zero()
         assert any(
             not lie_derivative(X, comp).is_zero()
-            for comp in q.homogeneous_components()
+            for comp in homogeneous_parts(q).values()
         )
 
 
@@ -240,42 +233,50 @@ class TestWeightedPowerIntegral:
 class TestRestrictedField:
     def test_bianchi_II_restriction_keeps_two_linear_integrals(self):
         X = build_bianchi(BianchiModel.from_tag("II", Fraction(1, 2)))
-        Xr = restricted_field(X, 0)
+        on_x1_zero = [MultiPoly.zero(6)] + X6[1:]
+        Xr = VectorField(tuple(c.evaluate(on_x1_zero) for c in X.components))
         assert Xr.components[0].is_zero()
         assert lie_derivative(Xr, X6[3] - X6[4]).is_zero()
         assert lie_derivative(Xr, X6[4] - X6[5]).is_zero()
 
 
+PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def state_of(q, p):
+    """The state x = (q1, q2, q3, 2 p1 q1, 2 p2 q2, 2 p3 q3) of (q, p)."""
+    return list(q) + [2 * pi * qi for pi, qi in zip(p, q)]
+
+
+def energy_terms(q, p, n):
+    """T + V_G/4 of the Hamiltonian in (q, p) for structure constants n."""
+    T = sum(2 * p[i] * p[j] * q[i] * q[j] for i, j in PAIRS) - sum(
+        (p[i] * q[i]) ** 2 for i in range(3)
+    )
+    VG = sum(2 * n[i] * n[j] * q[i] * q[j] for i, j in PAIRS) - sum(
+        (n[i] * q[i]) ** 2 for i in range(3)
+    )
+    return T + VG * Fraction(1, 4)
+
+
 class TestHamiltonianMap:
     def test_direct(self):
-        assert hamiltonian_to_state((1, 1, 1), (1, 1, 1)) == (1, 1, 1, 2, 2, 2)
+        # by hand at q = p = (1, 1, 1), type IX: T = 6 - 3, V_G = 6 - 3
+        x = state_of((1, 1, 1), (1, 1, 1))
+        assert x == [1, 1, 1, 2, 2, 2]
+        assert energy_terms((1, 1, 1), (1, 1, 1), (1, 1, 1)) == Fraction(15, 4)
+        assert build_F(1, 1, 1).evaluate(x) == -15
 
-    def test_roundtrip(self, rng):
-        for _ in range(100):
-            q = tuple(Fraction(rng.randint(1, 20), rng.randint(1, 5)) for _ in range(3))
-            p = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(3))
-            x = hamiltonian_to_state(q, p)
-            assert state_to_hamiltonian(x) == (q, p)
-
-    def test_inverse_rejects_zero_q(self):
-        with pytest.raises(ZeroDivisionError):
-            state_to_hamiltonian((0, 1, 1, 1, 1, 1))
-
-    def test_energy_matches_state_integral_up_to_factor(self, rng):
-        # T + V_G/4 maps to -F/4, so the phase-space energy is -1/4 of the
-        # weighted-power integral in state coordinates.
-        k = 0.5
-        n = (1, 1, 1)
-        F = build_F(*n)
-        for _ in range(20):
-            q = [rng.uniform(0.5, 2.0) for _ in range(3)]
-            p = [rng.uniform(-1.0, 1.0) for _ in range(3)]
-            x = hamiltonian_to_state(q, p)
-            hx = (x[0] * x[1] * x[2]) ** ((k - 1) / 2) * float(
-                F.evaluate([float(v) for v in x])
-            )
-            h = hamiltonian_energy(q, p, n, k)
-            assert abs(hx - (-4.0) * h) <= 1e-12 * max(1.0, abs(hx))
+    def test_energy_matches_state_integral_up_to_factor(self):
+        # Under x = state_of(q, p) the phase-space energy
+        # (q1 q2 q3)^((k-1)/2) (T + V_G/4) is -1/4 of the weighted power
+        # integral (x1 x2 x3)^((k-1)/2) F: the prefactors agree, and
+        # T + V_G/4 = -F/4 holds as a polynomial identity in (q, p).
+        q = X6[:3]
+        p = X6[3:]
+        x = state_of(q, p)
+        for n in BIANCHI_TABLE.values():
+            assert energy_terms(q, p, n) == -build_F(*n).evaluate(x) / 4, n
 
 
 def test_polynomial_integrals_catalog():
