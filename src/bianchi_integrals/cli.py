@@ -257,10 +257,9 @@ def cmd_report(args) -> int:
                 "pass": sweep.passed and hx_ok,
             }
             if polynomial_integrals(tag) and k is not None:
-                fields = _statement_fields(model)
-                rank = engine.independence_rank(fields)
-                cell["independence"] = rank.to_dict()
-                cell["pass"] = cell["pass"] and rank.rank == len(fields)
+                rank, count = engine.independence_rank(tag, k)
+                cell["independence"] = {"rank": rank, "point": list(engine.RANK_POINT)}
+                cell["pass"] = cell["pass"] and rank == count
             cells.append(cell)
             ok_all &= cell["pass"]
     payload = {
@@ -271,24 +270,6 @@ def cmd_report(args) -> int:
     }
     _emit(payload, args.out)
     return 0 if ok_all else 2
-
-
-def _statement_fields(model: BianchiModel) -> list:
-    """The integrals the statement claims independent for I or II at a fixed k.
-
-    The order fixes the Jacobian's rows, and so the last digits of the
-    singular values in the report.
-    """
-    k = float(model.k)
-    energy = dynamics.energy_invariant(model.n, k)
-    linear = list(polynomial_integrals(model.tag))
-    if model.tag == "I":
-        return linear + [
-            energy,
-            dynamics.transcendental_invariant(k, 0, 1),
-            dynamics.transcendental_invariant(k, 1, 2),
-        ]
-    return [energy] + linear
 
 
 # -- entry point ---------------------------------------------------------------

@@ -32,11 +32,6 @@ class KPoly:
     def constant(cls, value) -> "KPoly":
         return cls((Fraction(value),))
 
-    @property
-    def degree(self) -> int:
-        """Degree with the convention deg 0 = -1."""
-        return len(self.coeffs) - 1
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 

@@ -18,10 +18,11 @@ from itertools import combinations_with_replacement
 from math import comb, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .coefficients import K_MINUS_1_OVER_4, KPoly
+from .coefficients import K_MINUS_1_OVER_2, K_MINUS_1_OVER_4, KPoly
 from .multipoly import Monomial, MultiPoly, monomial_key
 from .nullspace import PIVOT_RULE, SparseRow, sparse_kernel_basis
 from .vectorfields import (
+    BIANCHI_TABLE,
     BianchiModel,
     VectorField,
     build_bianchi,
@@ -29,13 +30,6 @@ from .vectorfields import (
     lie_derivative,
     polynomial_integrals,
 )
-
-# Independence testing: fixed deterministic points and thresholds.
-PRIMARY_RANK_POINT = (1, 2, 3, 5, 7, 11)
-RETRY_RANK_POINT = (2, 3, 5, 7, 11, 13)
-SINGULAR_VALUE_TOL = 1e-6
-FD_STEP = 1e-6
-
 
 class SoundnessError(RuntimeError):
     """A kernel polynomial failed the independent Lie-derivative re-check."""
@@ -252,67 +246,56 @@ def degree_sweep(model: BianchiModel, m_max: int) -> IntegrabilityReport:
 
 # -- Independence ranks --------------------------------------------------------
 
-
-@dataclass
-class RankResult:
-    rank: int
-    smallest_retained_sv: float
-    point: Tuple
-    retried: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "smallest_retained_sv": self.smallest_retained_sv,
-            "point": [str(v) for v in self.point],
-            "retried": self.retried,
-            "sv_tol": SINGULAR_VALUE_TOL,
-        }
+# D = 49 and R = 3/10 here (see _gradient_rows), so even the dropped term is
+# rational.  x1 x2 x3 > 0 and s > 2 sqrt(D) put the point in the domain of H
+# and T_ij, and both a are nonzero.
+RANK_POINT = (1, 2, 3, 5, 8, 13)
 
 
-def _jacobian_row(item, point):
-    import numpy as np
+def _gradient_rows(tag: str, k: Fraction) -> List[List[Fraction]]:
+    """Rows at RANK_POINT that span the gradients of the integrals the
+    theorem names for type I or II.
 
-    n = len(point)
-    if isinstance(item, MultiPoly):
-        return np.array([float(item.partial_derivative(i).evaluate(point)) for i in range(n)])
-    base = [float(v) for v in point]
-    row = []
-    for i in range(n):
-        hi = list(base)
-        lo = list(base)
-        hi[i] += FD_STEP
-        lo[i] -= FD_STEP
-        row.append((item(hi) - item(lo)) / (2 * FD_STEP))
-    return np.array(row)
-
-
-def _rank_at(fields, point) -> Tuple[int, float]:
-    import numpy as np
-
-    jac = np.vstack([_jacobian_row(f, point) for f in fields])
-    sv = np.linalg.svd(jac, compute_uv=False)
-    rank = int((sv > SINGULAR_VALUE_TOL).sum())
-    smallest = float(sv[rank - 1]) if rank else 0.0
-    return rank, smallest
-
-
-def independence_rank(fields: Sequence) -> RankResult:
-    """Rank of the Jacobian of the given scalar fields at a fixed point.
-
-    Entries are MultiPoly (gradients exact) or float callables (central
-    differences).  On suspected degeneracy the fixed retry point is used
-    and the larger rank kept.
+    grad p for each polynomial integral p.  For H = (x1 x2 x3)^w F with
+    w = (k-1)/2, grad H / (x1 x2 x3)^w = w F (1/x1, 1/x2, 1/x3, 0, 0, 0) + grad F.
+    For type I, grad log T_ij = grad T_ij / T_ij without its term
+    log R grad(a/sqrt D), where T_ij = (x_i/x_j)^(-w) R^(a/sqrt D),
+    a = x_(i+3) - x_(j+3), R = (s - 2 sqrt D)/(s + 2 sqrt D) and
+    s = x4 + x5 + x6.  D = u^2 - uv + v^2 in the linear integrals u = x4 - x5
+    and v = x4 - x6, so that term lies in the span of their rows.  What is
+    left is rational: (a/sqrt D) grad log R = 2a (2D grad s - s grad D) / (D (s^2 - 4D)).
     """
-    point = PRIMARY_RANK_POINT
-    rank, smallest = _rank_at(fields, point)
-    retried = False
-    if rank < len(fields):
-        retry_rank, retry_smallest = _rank_at(fields, RETRY_RANK_POINT)
-        retried = True
-        if retry_rank > rank:
-            rank, smallest, point = retry_rank, retry_smallest, RETRY_RANK_POINT
-    return RankResult(rank, smallest, point, retried)
+    x = RANK_POINT
+
+    def grad(p: MultiPoly) -> List[Fraction]:
+        return [p.partial_derivative(c).evaluate(x) for c in range(len(x))]
+
+    linear = polynomial_integrals(tag)
+    w = K_MINUS_1_OVER_2(k)
+    F = build_F(*BIANCHI_TABLE[tag])
+    rows = [grad(p) for p in linear]
+    rows.append([w * F.evaluate(x) * Fraction(c < 3, x[c]) + g for c, g in enumerate(grad(F))])
+    if tag == "I":
+        u, v = linear
+        D = u * u - u * v + v * v
+        D_x, s_x = D.evaluate(x), sum(x[3:])
+        scale = Fraction(2, D_x * (s_x * s_x - 4 * D_x))
+        per_a = [scale * (2 * D_x * (c >= 3) - s_x * g) for c, g in enumerate(grad(D))]
+        for i, j in ((0, 1), (1, 2)):
+            a = x[i + 3] - x[j + 3]
+            rows.append([a * r - w * (Fraction(c == i, x[i]) - Fraction(c == j, x[j]))
+                         for c, r in enumerate(per_a)])
+    return rows
+
+
+def independence_rank(tag: str, k: Fraction) -> Tuple[int, int]:
+    """Exact rank of _gradient_rows(tag, k), each cleared of denominators, and their number."""
+    rows = _gradient_rows(tag, k)
+    cleared = []
+    for row in rows:
+        d = lcm(*(v.denominator for v in row))
+        cleared.append({c: int(v * d) for c, v in enumerate(row) if v})
+    return sparse_kernel_basis(cleared, len(RANK_POINT))[1], len(rows)
 
 
 # -- Lemma analyzers (three-variable PDEs) ------------------------------------

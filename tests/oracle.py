@@ -4,13 +4,21 @@ Deliberately separate from the package's sparse fraction-free path: plain
 textbook Gauss-Jordan over Fraction on dense list-of-lists matrices, with
 its own matrix assembly from the product rule X(p) = sum_i X_i dp/dx_i,
 built with MultiPoly products and sums rather than `lie_derivative`.
+
+The float Jacobian and its singular values cross-check the exact
+independence rank numerically, from the float invariants of `dynamics`.
 """
 
 from fractions import Fraction
 
+import numpy as np
+
 from bianchi_integrals.coefficients import KPoly
 from bianchi_integrals.engine import enumerate_monomials
 from bianchi_integrals.multipoly import MultiPoly, monomial_key
+
+FD_STEP = 1e-6
+SINGULAR_VALUE_TOL = 1e-6
 
 
 def product_rule_image(X, p):
@@ -116,3 +124,30 @@ def same_subspace(basis_a, basis_b):
         return False
     stacked = [list(v) for v in basis_a] + [list(v) for v in basis_b]
     return dense_rank(stacked) == dim
+
+
+def float_jacobian(fields, point):
+    """Jacobian of scalar fields at a point, in floats: the exact gradient of
+    a MultiPoly, central differences of a float callable."""
+    base = [float(v) for v in point]
+    rows = []
+    for f in fields:
+        if isinstance(f, MultiPoly):
+            rows.append([float(f.partial_derivative(i).evaluate(point)) for i in range(len(point))])
+            continue
+        row = []
+        for i in range(len(point)):
+            hi, lo = list(base), list(base)
+            hi[i] += FD_STEP
+            lo[i] -= FD_STEP
+            row.append((f(hi) - f(lo)) / (2 * FD_STEP))
+        rows.append(row)
+    return np.array(rows)
+
+
+def float_rank(fields, point):
+    """Number of singular values of the float Jacobian above
+    SINGULAR_VALUE_TOL, and the smallest of them."""
+    sv = np.linalg.svd(float_jacobian(fields, point), compute_uv=False)
+    rank = int((sv > SINGULAR_VALUE_TOL).sum())
+    return rank, float(sv[rank - 1]) if rank else 0.0

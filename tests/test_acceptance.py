@@ -82,7 +82,7 @@ def test_criterion_2_no_integrals_bounded_degree(capsys):
 
 
 def test_criterion_3_bianchi_I_kernel_and_rank(capsys):
-    """Degree-1 basis exact; dim m+1 oracle-confirmed for m<=3; rank 5."""
+    """Degree-1 basis exact; dim m+1 oracle-confirmed for m<=3; rank 5, exact and float."""
     from bianchi_integrals import dynamics
 
     x = [MultiPoly.variable(6, i) for i in range(6)]
@@ -103,12 +103,12 @@ def test_criterion_3_bianchi_I_kernel_and_rank(capsys):
         dynamics.transcendental_invariant(k, 0, 1),
         dynamics.transcendental_invariant(k, 1, 2),
     ]
-    rank = independence_rank(fields)
-    ok &= rank.rank == 5 and not rank.retried
-    ok &= rank.smallest_retained_sv > 1e-6
+    float_rank, smallest = oracle.float_rank(fields, (1, 2, 3, 5, 7, 11))
+    ok &= float_rank == 5 and smallest > 1e-6
+    ok &= independence_rank("I", Fraction(1, 2)) == (5, 5)
     emit(capsys, 3, ok, "degree-1 basis {x4-x5, x4-x6}, dim m+1 for m<=3 "
-         "(oracle-confirmed), independence rank 5 (smallest sv %.3g)"
-         % rank.smallest_retained_sv)
+         "(oracle-confirmed), independence rank 5 exact and in floats "
+         "(smallest sv %.3g)" % smallest)
     assert ok
 
 

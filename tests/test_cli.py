@@ -243,6 +243,13 @@ class TestReport:
         assert "independence" not in by_model["IX"][0]
         assert all(c["energy_integral_identity"] for c in payload["cells"])
 
+    def test_exact_rank_holds_near_k_one(self, capsys):
+        code, out, _ = run(capsys, ["report", "--max-degree", "1", "--k-samples", "999999/1000000"])
+        assert code == 0
+        cells = {c["model"]: c for c in json.loads(out)["cells"] if c["k"] != "symbolic"}
+        assert cells["I"]["independence"] == {"rank": 5, "point": [1, 2, 3, 5, 8, 13]}
+        assert cells["II"]["independence"]["rank"] == 2
+
     def test_byte_stable(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(capsys, ["report", "--max-degree", "2", "--out", str(a)])

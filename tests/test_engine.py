@@ -1,13 +1,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from bianchi_integrals import engine
+from bianchi_integrals import dynamics, engine
 from bianchi_integrals.engine import (
-    PRIMARY_RANK_POINT,
-    RETRY_RANK_POINT,
+    RANK_POINT,
     SoundnessError,
+    _gradient_rows,
     assemble_system,
     degree_sweep,
     enumerate_monomials,
@@ -23,6 +24,7 @@ from bianchi_integrals.vectorfields import (
     BianchiModel,
     build_bianchi,
     lie_derivative,
+    polynomial_integrals,
 )
 
 import oracle
@@ -253,46 +255,63 @@ class TestDegreeSweep:
         assert expected_basis("IX", 2) is None
 
 
+def _sqrt_D_and_log_R():
+    """sqrt D and log R at RANK_POINT; D must be a perfect square there."""
+    x = RANK_POINT
+    D = x[3] ** 2 + x[4] ** 2 + x[5] ** 2 - x[3] * x[4] - x[3] * x[5] - x[4] * x[5]
+    root = math.isqrt(D)
+    assert root * root == D
+    s = sum(x[3:])
+    return root, math.log(Fraction(s - 2 * root, s + 2 * root))
+
+
+def _dropped_term(i, j):
+    """grad(a/sqrt D) at RANK_POINT, exactly, for a = x_(i+3) - x_(j+3)."""
+    x = RANK_POINT
+    root, _ = _sqrt_D_and_log_R()
+    a = x[i + 3] - x[j + 3]
+    grad_D = [0, 0, 0] + [3 * x[c] - sum(x[3:]) for c in (3, 4, 5)]
+    grad_a = [int(c == i + 3) - int(c == j + 3) for c in range(6)]
+    return [Fraction(ga, root) - Fraction(a * gD, 2 * root ** 3) for ga, gD in zip(grad_a, grad_D)]
+
+
 class TestIndependenceRank:
-    def test_constants(self):
-        assert PRIMARY_RANK_POINT == (1, 2, 3, 5, 7, 11)
-        assert RETRY_RANK_POINT == (2, 3, 5, 7, 11, 13)
+    """The exact rows against the float invariants they stand for."""
 
-    def test_exact_gradients_full_rank(self):
-        x = [MultiPoly.variable(6, i) for i in range(6)]
-        fields = [x[3] - x[4], x[3] - x[5]]
-        result = independence_rank(fields)
-        assert result.rank == 2
-        assert not result.retried
-        assert result.smallest_retained_sv > 1e-6
+    @pytest.mark.parametrize("k", [Fraction(0), Fraction(1, 2), Fraction(9, 10)])
+    @pytest.mark.parametrize("tag", ["I", "II"])
+    def test_rows_match_central_differences(self, tag, k):
+        x = RANK_POINT
+        rows = _gradient_rows(tag, k)
+        linear = list(polynomial_integrals(tag))
+        kf = float(k)
+        weight = (x[0] * x[1] * x[2]) ** ((kf - 1) / 2)
+        expected = oracle.float_jacobian(linear, x).tolist()
+        expected.append(oracle.float_jacobian(
+            [dynamics.energy_invariant(BIANCHI_TABLE[tag], kf)], x)[0] / weight)
+        if tag == "I":
+            _, log_R = _sqrt_D_and_log_R()
+            for i, j in ((0, 1), (1, 2)):
+                T = dynamics.transcendental_invariant(kf, i, j)
+                grad_log_T = oracle.float_jacobian([T], x)[0] / T([float(v) for v in x])
+                expected.append(grad_log_T - log_R * np.array(_dropped_term(i, j), float))
+        assert len(rows) == len(expected)
+        for row, want in zip(rows, expected):
+            # Central differences with step 1e-6 agree to about 1e-9 of the row's scale.
+            scale = max(1.0, np.max(np.abs(want)))
+            assert np.max(np.abs(np.array(row, float) - want)) < 1e-8 * scale
 
-    def test_dependent_fields_trigger_retry_and_stay_deficient(self):
-        x = [MultiPoly.variable(6, i) for i in range(6)]
-        fields = [x[3] - x[4], 2 * (x[3] - x[4])]
-        result = independence_rank(fields)
-        assert result.rank == 1
-        assert result.retried
+    def test_dropped_terms_lie_in_the_span_of_the_linear_rows(self):
+        linear = _gradient_rows("I", Fraction(1, 2))[:2]
+        dropped = [_dropped_term(i, j) for i, j in ((0, 1), (1, 2))]
+        assert oracle.dense_rank(linear + dropped) == 2
 
-    def test_callable_fields_central_difference(self):
-        fields = [
-            lambda v: v[3] - v[4],
-            lambda v: (v[3] - v[5]) ** 2,
-        ]
-        result = independence_rank(fields)
-        assert result.rank == 2
+    @pytest.mark.parametrize("k", ["0", "1/10", "1/2", "2/3", "9/10", "999999/1000000"])
+    def test_full_rank_up_to_k_near_one(self, k):
+        assert independence_rank("I", Fraction(k)) == (5, 5)
+        assert independence_rank("II", Fraction(k)) == (2, 2)
 
-    def test_point_dependent_degeneracy_recovers_on_retry(self):
-        # vanishing gradient at the primary point only
-        x = [MultiPoly.variable(6, i) for i in range(6)]
-        p = (x[0] - 1) ** 2  # gradient 0 at x1=1 (primary), nonzero at x1=2
-        result = independence_rank([p])
-        assert result.retried
-        assert result.rank == 1
-        assert result.point == RETRY_RANK_POINT
-
-    def test_to_dict(self):
-        x = [MultiPoly.variable(6, i) for i in range(6)]
-        d = independence_rank([x[3] - x[4]]).to_dict()
-        assert d["rank"] == 1
-        assert d["sv_tol"] == 1e-6
-        assert d["point"] == ["1", "2", "3", "5", "7", "11"]
+    def test_dependent_rows_lose_rank(self, monkeypatch):
+        rows = _gradient_rows("I", Fraction(1, 2))
+        monkeypatch.setattr(engine, "_gradient_rows", lambda tag, k: rows[:4] + [rows[3]])
+        assert independence_rank("I", Fraction(1, 2)) == (4, 5)

@@ -1,4 +1,4 @@
-"""Stdout of the exact subcommands, pinned by sha256.
+"""Stdout of the exact subcommands (`report` included), pinned by sha256.
 
 These outputs come from exact rational arithmetic only, so their bytes do
 not depend on the platform.  `tests/golden_stdout.json` maps each command
