@@ -138,9 +138,9 @@ def cmd_catalog(args) -> int:
 
 def cmd_find(args) -> int:
     model = BianchiModel.from_tag(args.model, args.k)
-    report = engine.degree_sweep(model, args.max_degree)
-    _emit(report.to_dict(), args.out)
-    return 0 if report.passed else 2
+    payload = engine.degree_sweep(model, args.max_degree)
+    _emit(payload, args.out)
+    return 0 if payload["pass"] else 2
 
 
 def cmd_verify(args) -> int:
@@ -185,14 +185,13 @@ def cmd_simulate(args) -> int:
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         traj = dynamics.integrate(model, [float(v) for v in x0], cfg)
         dynamics.write_trajectory_csv(traj, fh)
-    report = dynamics.drift_report(traj, dynamics.standard_invariants(model))
     payload = {
         "model": model.tag,
         "k": model.k_text(),
         "x0": ",".join(str(v) for v in x0),
         "t_end": args.t_end,
         "tol": args.tol,
-        "drift": report.to_dict(),
+        "drift": dynamics.drift_report(traj, dynamics.standard_invariants(model)),
     }
     sidecar = None
     if args.out:
@@ -217,16 +216,24 @@ def _lemma_estrella(args) -> dict:
         "k": str(args.k),
         "degree": args.degree,
         "hypothesis_holds": hypothesis,
-        "dimension": basis.dimension,
-        "basis": [p.to_text(engine.TAIL_VAR_NAMES) for p in basis.polynomials],
-        "pass": basis.dimension == 0 or not hypothesis,
+        "dimension": len(basis),
+        "basis": [p.to_text(engine.TAIL_VAR_NAMES) for p in basis],
+        "pass": not basis or not hypothesis,
     }
 
 
 def _lemma_dificil(args) -> dict:
-    sol = engine.lemma_dificil_solve(args.k, args.n)
-    return {"lemma": "dificil", "k": str(args.k), "n": args.n, "solution": sol.to_dict(),
-            "pass": sol.conforms}
+    g_basis, h_coefficients = engine.lemma_dificil_solve(args.k, args.n)
+    # The lemma: the only solution is g = 0 and h = c*(x4-x6)^n.
+    conforms = len(g_basis) == 1 and not g_basis[0] and not any(h_coefficients[0][1:])
+    solution = {
+        "dimension": len(g_basis),
+        "g_basis": [g.to_text(engine.TAIL_VAR_NAMES) for g in g_basis],
+        "h_coefficients": [[str(c) for c in a] for a in h_coefficients],
+        "conforms": conforms,
+    }
+    return {"lemma": "dificil", "k": str(args.k), "n": args.n, "solution": solution,
+            "pass": conforms}
 
 
 def _lemma_sn(args) -> dict:
@@ -247,14 +254,14 @@ def cmd_report(args) -> int:
                 "model": tag,
                 "statement": STATEMENT_OF_MODEL[tag],
                 "k": model.k_text(),
-                "mode": sweep.mode,
-                "dimensions": sweep.dimensions,
+                "mode": sweep["mode"],
+                "dimensions": [d["dim"] for d in sweep["degrees"]],
                 "energy_integral_identity": hx_ok,
                 "scope": (
                     "proved in the source for all degrees; "
                     "machine-verified up to degree %d" % args.max_degree
                 ),
-                "pass": sweep.passed and hx_ok,
+                "pass": sweep["pass"] and hx_ok,
             }
             if polynomial_integrals(tag) and k is not None:
                 rank, count = engine.independence_rank(tag, k)

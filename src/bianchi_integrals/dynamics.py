@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -21,18 +21,19 @@ class DomainError(ValueError):
     """An invariant was evaluated outside its domain of definition."""
 
 
+# Accepted plus rejected steps after which an orbit stops with "max_steps".
+MAX_STEPS = 1_000_000
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     t_end: float = 1.0
     tol: float = 1e-12  # both the relative and the absolute error tolerance
-    max_steps: int = 1_000_000
 
     def __post_init__(self):
         for name in ("t_end", "tol"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError("%s must be a finite positive number" % name)
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be positive")
 
 
 @dataclass
@@ -119,10 +120,12 @@ def integrate(
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = rhs(C, y)
         while t < cfg.t_end:
-            if accepted + rejected >= cfg.max_steps:
+            if accepted + rejected >= MAX_STEPS:
                 status = "max_steps"
                 break
-            if h < 1e-15 * max(1.0, abs(t)):
+            # The last step may be as small as what is left of [0, t_end];
+            # only a step that stops short of t_end can underflow.
+            if h < 1e-15 * max(1.0, abs(t)) and h < cfg.t_end - t:
                 status = "step_underflow"
                 break
             h = min(h, cfg.t_end - t)
@@ -223,39 +226,12 @@ def standard_invariants(model: BianchiModel) -> Dict[str, Invariant]:
     return out
 
 
-@dataclass
-class DriftEntry:
-    name: str
-    initial_value: Optional[float]
-    drift: Optional[float]  # max |v(t)-v(0)| / max(1, |v(0)|)
-    domain_violation: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "initial_value": self.initial_value,
-            "max_relative_drift": self.drift,
-            "domain_violation": self.domain_violation,
-        }
-
-
-@dataclass
-class DriftReport:
-    entries: List[DriftEntry]
-    status: str
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "invariants": [e.to_dict() for e in self.entries],
-        }
-
-
-def monitor_invariant(traj: Trajectory, inv: Invariant, name: str) -> DriftEntry:
+def monitor_invariant(traj: Trajectory, inv: Invariant, name: str) -> dict:
     """Max relative drift of one invariant along the trajectory.
 
-    Domain failures, overflows and non-finite values are flagged; the drift
-    is taken over the points where the invariant is defined and finite.
+    The drift is max |v(t)-v(0)| / max(1, |v(0)|), taken over the points
+    where the invariant is defined and finite.  Domain failures, overflows
+    and non-finite values are flagged as a domain violation.
     """
     violated = False
     value0 = None
@@ -274,14 +250,20 @@ def monitor_invariant(traj: Trajectory, inv: Invariant, name: str) -> DriftEntry
             drift = 0.0
         else:
             drift = max(drift, abs(v - value0) / max(1.0, abs(value0)))
-    return DriftEntry(name, value0, drift, violated)
+    return {
+        "name": name,
+        "initial_value": value0,
+        "max_relative_drift": drift,
+        "domain_violation": violated,
+    }
 
 
-def drift_report(traj: Trajectory, invariants: Dict[str, Invariant]) -> DriftReport:
-    return DriftReport(
-        [monitor_invariant(traj, inv, name) for name, inv in invariants.items()],
-        traj.status,
-    )
+def drift_report(traj: Trajectory, invariants: Dict[str, Invariant]) -> dict:
+    """The orbit's status and the drift of each invariant, in the order given."""
+    return {
+        "status": traj.status,
+        "invariants": [monitor_invariant(traj, inv, name) for name, inv in invariants.items()],
+    }
 
 
 def write_trajectory_csv(traj: Trajectory, stream) -> None:

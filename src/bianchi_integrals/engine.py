@@ -68,16 +68,6 @@ class LinearSystem:
         return len(self.rows)
 
 
-@dataclass
-class NullspaceBasis:
-    vectors: List[Tuple[Fraction, ...]]
-    polynomials: List[MultiPoly]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.vectors)
-
-
 def _rows(columns: Iterable[Sequence[MultiPoly]]) -> Tuple[List[SparseRow], List[Tuple[Monomial, int]]]:
     """Sparse rows of the linear map sending unknown j to column j's images.
 
@@ -137,13 +127,13 @@ def _vector_to_poly(vec: Sequence[Fraction], columns: Sequence[Monomial]) -> Mul
     return poly
 
 
-def kernel_basis(X: VectorField, m: int) -> NullspaceBasis:
+def kernel_basis(X: VectorField, m: int) -> List[MultiPoly]:
     """Canonical degree-m first-integral basis over the rationals, with a
     post-hoc soundness re-check."""
     system = assemble_system(X, m)
     vectors, _rank = sparse_kernel_basis(system.rows, system.ncols)
-    basis = NullspaceBasis(vectors, [_vector_to_poly(v, system.columns) for v in vectors])
-    for poly in basis.polynomials:
+    basis = [_vector_to_poly(v, system.columns) for v in vectors]
+    for poly in basis:
         if not lie_derivative(X, poly).is_zero():
             raise SoundnessError("kernel polynomial fails annihilation re-check: %s" % poly)
     return basis
@@ -173,75 +163,30 @@ def expected_basis(tag: str, m: int) -> Optional[List[MultiPoly]]:
     return None
 
 
-@dataclass
-class DegreeRecord:
-    m: int
-    dim: int
-    basis: List[MultiPoly]
-    expected_dim: int
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "dim": self.dim,
-            "basis": [p.to_text() for p in self.basis],
-        }
-
-
-@dataclass
-class IntegrabilityReport:
-    model: str
-    k: str
-    mode: str
-    degrees: List[DegreeRecord]
-    m_max: int
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.degrees)
-
-    @property
-    def dimensions(self) -> List[int]:
-        return [r.dim for r in self.degrees]
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "k": self.k,
-            "mode": self.mode,
-            "degrees": [r.to_dict() for r in self.degrees],
-            "expected": [
-                {"m": r.m, "dim": r.expected_dim} for r in self.degrees
-            ],
-            "pass": self.passed,
-            "engine": {"pivot_rule": PIVOT_RULE, "m_max": self.m_max},
-            "note": "verified up to degree %d" % self.m_max,
-        }
-
-
-def degree_sweep(model: BianchiModel, m_max: int) -> IntegrabilityReport:
-    """Kernel dimensions and bases for degrees 1..m_max, against expectations."""
+def degree_sweep(model: BianchiModel, m_max: int) -> dict:
+    """find's payload: kernel dimensions and bases for degrees 1..m_max, against expectations."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     X = build_bianchi(model)
-    records = []
+    degrees, expected, passed = [], [], True
     for m in range(1, m_max + 1):
-        basis = kernel_basis(X, m)
+        basis = [p.to_text() for p in kernel_basis(X, m)]
         exp_dim = expected_dimension(model.tag, m)
-        ok = basis.dimension == exp_dim
         exp_basis = expected_basis(model.tag, m)
-        if ok and exp_basis is not None:
-            found = {p.to_text() for p in basis.polynomials}
-            ok = found == {p.to_text() for p in exp_basis}
-        records.append(DegreeRecord(m, basis.dimension, basis.polynomials, exp_dim, ok))
-    return IntegrabilityReport(
-        model=model.tag,
-        k=model.k_text(),
-        mode="symbolic-k" if model.symbolic else "fixed-k",
-        degrees=records,
-        m_max=m_max,
-    )
+        passed = passed and len(basis) == exp_dim and (
+            exp_basis is None or set(basis) == {p.to_text() for p in exp_basis})
+        degrees.append({"m": m, "dim": len(basis), "basis": basis})
+        expected.append({"m": m, "dim": exp_dim})
+    return {
+        "model": model.tag,
+        "k": model.k_text(),
+        "mode": "symbolic-k" if model.symbolic else "fixed-k",
+        "degrees": degrees,
+        "expected": expected,
+        "pass": passed,
+        "engine": {"pivot_rule": PIVOT_RULE, "m_max": m_max},
+        "note": "verified up to degree %d" % m_max,
+    }
 
 
 # -- Independence ranks --------------------------------------------------------
@@ -328,7 +273,7 @@ def _transport_images(linear: MultiPoly, k: Fraction, monos: List[Monomial]) -> 
 
 def lemma_estrella_solve(
     a1: Fraction, a2: Fraction, a3: Fraction, k: Fraction, m: int
-) -> NullspaceBasis:
+) -> List[MultiPoly]:
     """Homogeneous degree-m polynomial solutions g(x4,x5,x6) of
 
         (a1 x4 + a2 x5 + a3 x6) g + (k-1)/4 F123 (g_4 + g_5 + g_6) = 0.
@@ -339,32 +284,15 @@ def lemma_estrella_solve(
     monos = enumerate_monomials(3, m)
     _, images = _transport_images(a1 * y[0] + a2 * y[1] + a3 * y[2], k, monos)
     vectors, _ = sparse_kernel_basis(_rows(zip(images))[0], len(images))
-    polys = [_vector_to_poly(v, monos) for v in vectors]
-    return NullspaceBasis(vectors, polys)
+    return [_vector_to_poly(v, monos) for v in vectors]
 
 
-@dataclass
-class DificilSolution:
-    """Joint kernel of the combined g/h system of the hard PDE."""
-
-    dimension: int
-    g_basis: List[MultiPoly]
-    h_coefficients: List[Tuple[Fraction, ...]]  # (a_0, ..., a_n) per solution
-    conforms: bool  # every solution has g = 0 and h = c*(x4-x6)^n
-
-    def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "g_basis": [g.to_text(TAIL_VAR_NAMES) for g in self.g_basis],
-            "h_coefficients": [[str(c) for c in a] for a in self.h_coefficients],
-            "conforms": self.conforms,
-        }
-
-
-def lemma_dificil_solve(k: Fraction, n: int) -> DificilSolution:
+def lemma_dificil_solve(k: Fraction, n: int) -> Tuple[List[MultiPoly], List[Tuple[Fraction, ...]]]:
     """Solve for g (degree n-2) and h = sum a_i (x4-x5)^i (x4-x6)^(n-i) with
 
         2(x4-x5+x6) g + (k-1)/4 F123 (g_4+g_5+g_6) + dh/dx5 = 0.
+
+    Returns one g and one (a_0, ..., a_n) per joint kernel vector.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -378,19 +306,8 @@ def lemma_dificil_solve(k: Fraction, n: int) -> DificilSolution:
         images.append(d * h_i.partial_derivative(1))
     vectors, _ = sparse_kernel_basis(_rows(zip(images))[0], len(images))
     ncols_g = len(g_monos)
-    g_basis = []
-    h_coeffs = []
-    conforms = True
-    for vec in vectors:
-        g_poly = MultiPoly(3, {m: c for m, c in zip(g_monos, vec[:ncols_g]) if c})
-        a = tuple(vec[ncols_g:])
-        g_basis.append(g_poly)
-        h_coeffs.append(a)
-        if g_poly or any(a[1:]):
-            conforms = False
-    if len(vectors) != 1:
-        conforms = False
-    return DificilSolution(len(vectors), g_basis, h_coeffs, conforms)
+    g_basis = [MultiPoly(3, {m: c for m, c in zip(g_monos, vec[:ncols_g]) if c}) for vec in vectors]
+    return g_basis, [tuple(vec[ncols_g:]) for vec in vectors]
 
 
 # -- The recursion identity behind the hard lemma -----------------------------

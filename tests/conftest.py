@@ -7,7 +7,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from bianchi_integrals.engine import assemble_system
 from bianchi_integrals.multipoly import MultiPoly
+from bianchi_integrals.nullspace import sparse_kernel_basis
 
 
 @pytest.fixture
@@ -41,7 +43,13 @@ def homogeneous_parts(p):
     return {d: MultiPoly(p.nvars, terms) for d, terms in parts.items()}
 
 
+def kernel_vectors(X, m):
+    """The canonical degree-m kernel vectors that engine.kernel_basis turns into polynomials."""
+    system = assemble_system(X, m)
+    return [list(v) for v in sparse_kernel_basis(system.rows, system.ncols)[0]]
+
+
 def drift_entry(report, name):
-    """The entry of a dynamics.DriftReport for the invariant called name."""
-    (entry,) = [e for e in report.entries if e.name == name]
+    """The entry of a dynamics.drift_report dict for the invariant called name."""
+    (entry,) = [e for e in report["invariants"] if e["name"] == name]
     return entry

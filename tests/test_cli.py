@@ -158,6 +158,40 @@ class TestSimulate:
         assert H["name"] == "H" and H["domain_violation"]
         assert H["initial_value"] is None
 
+    def test_tiny_t_end_takes_its_one_step(self, capsys, tmp_path):
+        # The one step left reaches t_end, however small: it is no underflow.
+        path = tmp_path / "orbit.csv"
+        code, _, _ = run(capsys, ["simulate", "--model", "IX", "--t-end", "1e-16",
+                                  "--out", str(path)])
+        assert code == 0
+        rows = path.read_text().splitlines()[1:]
+        assert len(rows) == 2 and float(rows[-1].split(",")[0]) == 1e-16
+        sidecar = json.loads((tmp_path / "orbit.drift.json").read_text())
+        assert sidecar["drift"]["status"] == "completed"
+
+    @pytest.mark.parametrize("tag, names", [
+        ("I", ["x4-x5", "x4-x6", "trans(x1/x2)", "trans(x2/x3)", "H"]),
+        ("II", ["x5-x6", "H"]),
+        ("IX", ["H"]),
+    ])
+    def test_payload_layout(self, capsys, tmp_path, tag, names):
+        argv = ["simulate", "--model", tag, "--t-end", "0.01"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        stdout = json.loads(out[out.index("{"):])
+        path = tmp_path / "orbit.csv"
+        assert run(capsys, argv + ["--out", str(path)])[0] == 0
+        sidecar = json.loads((tmp_path / "orbit.drift.json").read_text())
+        assert sidecar == stdout
+        for payload in (stdout, sidecar):
+            assert list(payload) == ["model", "k", "x0", "t_end", "tol", "drift"]
+            assert list(payload["drift"]) == ["status", "invariants"]
+            invariants = payload["drift"]["invariants"]
+            assert [e["name"] for e in invariants] == names
+            for entry in invariants:
+                assert list(entry) == [
+                    "name", "initial_value", "max_relative_drift", "domain_violation"]
+
     def test_symbolic_k_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["simulate", "--model", "IX", "--k", "symbolic"])
         assert code == 1

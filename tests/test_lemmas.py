@@ -1,8 +1,10 @@
+from argparse import Namespace
 from fractions import Fraction
 
 import pytest
 
 from bianchi_integrals import engine
+from bianchi_integrals.cli import _lemma_dificil
 from bianchi_integrals.engine import (
     _f123,
     lemma_dificil_solve,
@@ -34,7 +36,7 @@ class TestEstrella:
             for k in (Fraction(0), Fraction(1, 2)):
                 for m in (0, 1, 2, 3, 4):
                     basis = lemma_estrella_solve(a1, a2, a3, k, m)
-                    assert basis.dimension == 0, (a1, a2, a3, k, m)
+                    assert len(basis) == 0, (a1, a2, a3, k, m)
 
     def test_equal_weights_resonance_contains_f123_power(self):
         # a1 = a2 = a3 = m(k-1)/2 at even degree 2m admits F123^m
@@ -45,20 +47,20 @@ class TestEstrella:
                 basis = lemma_estrella_solve(a, a, a, k, 2 * m)
                 target = F ** m
                 target = target / target.leading_coefficient()
-                assert any(p == target for p in basis.polynomials), (k, m)
+                assert any(p == target for p in basis), (k, m)
 
     def test_equal_weights_off_resonance_empty(self):
         k = Fraction(1, 2)
         a = Fraction(7)  # not m(k-1)/2 for m = 1
         basis = lemma_estrella_solve(a, a, a, k, 2)
-        assert basis.dimension == 0
+        assert len(basis) == 0
 
     def test_degree_zero(self):
         # constants solve the equation only when the linear factor is zero
         basis = lemma_estrella_solve(Fraction(0), Fraction(0), Fraction(0), Fraction(1, 2), 0)
-        assert basis.dimension == 1
+        assert len(basis) == 1
         basis = lemma_estrella_solve(Fraction(1), Fraction(0), Fraction(0), Fraction(1, 2), 0)
-        assert basis.dimension == 0
+        assert len(basis) == 0
 
     def test_solutions_satisfy_pde(self):
         y = tail_vars()
@@ -69,7 +71,7 @@ class TestEstrella:
         basis = lemma_estrella_solve(a, a, a, k, 2 * m)
         linear = a * (y[0] + y[1] + y[2])
         cf = (k - 1) / 4
-        for g in basis.polynomials:
+        for g in basis:
             sigma = sum(
                 (g.partial_derivative(i) for i in range(3)), MultiPoly.zero(3)
             )
@@ -87,11 +89,10 @@ class TestDificil:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("k", K_SAMPLES)
     def test_only_trivial_solution(self, n, k):
-        sol = lemma_dificil_solve(k, n)
-        assert sol.dimension == 1
-        assert sol.conforms
-        g = sol.g_basis[0]
-        a = sol.h_coefficients[0]
+        g_basis, h_coefficients = lemma_dificil_solve(k, n)
+        assert len(g_basis) == len(h_coefficients) == 1
+        g = g_basis[0]
+        a = h_coefficients[0]
         assert g.is_zero()
         assert a[0] != 0
         assert all(c == 0 for c in a[1:])
@@ -99,10 +100,10 @@ class TestDificil:
     def test_solution_satisfies_pde(self):
         k = Fraction(1, 2)
         n = 3
-        sol = lemma_dificil_solve(k, n)
+        _, h_coefficients = lemma_dificil_solve(k, n)
         y = tail_vars()
         u, v = y[0] - y[1], y[0] - y[2]
-        a = sol.h_coefficients[0]
+        a = h_coefficients[0]
         h = sum(
             (a[i] * (u ** i) * (v ** (n - i)) for i in range(n + 1)),
             MultiPoly.zero(3),
@@ -115,27 +116,32 @@ class TestDificil:
         # columns are scaled by d; the h columns must be scaled by the same
         # d, or the reported g would be off by that factor.
         k, n = Fraction(7, 3), 4
-        sol = lemma_dificil_solve(k, n)
-        assert sol.dimension == 2 and not sol.conforms
+        g_basis, h_coefficients = lemma_dificil_solve(k, n)
+        assert len(g_basis) == 2
         y = tail_vars()
         u, v = y[0] - y[1], y[0] - y[2]
         F = _f123()
-        for g, a in zip(sol.g_basis, sol.h_coefficients):
+        for g, a in zip(g_basis, h_coefficients):
             h = sum((a[i] * u ** i * v ** (n - i) for i in range(n + 1)), MultiPoly.zero(3))
             sigma = sum((g.partial_derivative(i) for i in range(3)), MultiPoly.zero(3))
             lhs = 2 * (y[0] - y[1] + y[2]) * g + (k - 1) / 4 * (F * sigma) + h.partial_derivative(1)
             assert lhs.is_zero()
-        assert any(sol.g_basis)
+        assert any(g_basis)
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             lemma_dificil_solve(Fraction(1, 2), 1)
 
-    def test_to_dict(self):
-        d = lemma_dificil_solve(Fraction(1, 2), 2).to_dict()
+    def test_payload(self):
+        payload = _lemma_dificil(Namespace(k=Fraction(1, 2), n=2))
+        d = payload["solution"]
         assert d["dimension"] == 1
-        assert d["conforms"] is True
+        assert d["conforms"] is True and payload["pass"] is True
         assert d["g_basis"] == ["0"]
+        # At k = 7/3 (outside [0, 1)) the kernel has two solutions, some with g != 0.
+        payload = _lemma_dificil(Namespace(k=Fraction(7, 3), n=4))
+        assert payload["solution"]["dimension"] == 2
+        assert payload["solution"]["conforms"] is False and payload["pass"] is False
 
 
 @pytest.mark.parametrize("solve", [
