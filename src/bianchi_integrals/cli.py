@@ -114,14 +114,14 @@ def _emit(payload, out: Optional[str]) -> None:
 def cmd_catalog(args) -> int:
     models = []
     for tag in MODEL_TAGS:
-        model = BianchiModel.from_tag(tag, args.k)
+        model = BianchiModel(tag, args.k)
         X = build_bianchi(model)
         models.append(
             {
                 "model": tag,
                 "n": list(model.n),
                 "k": model.k_text(),
-                "components": [c.to_text() for c in X.components],
+                "components": [c.to_text() for c in X],
             }
         )
     if args.format == "text":
@@ -137,14 +137,14 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_find(args) -> int:
-    model = BianchiModel.from_tag(args.model, args.k)
+    model = BianchiModel(args.model, args.k)
     payload = engine.degree_sweep(model, args.max_degree)
     _emit(payload, args.out)
     return 0 if payload["pass"] else 2
 
 
 def cmd_verify(args) -> int:
-    model = BianchiModel.from_tag(args.model, args.k)
+    model = BianchiModel(args.model, args.k)
     X = build_bianchi(model)
     checks = []
     ok_all = True
@@ -160,7 +160,7 @@ def cmd_verify(args) -> int:
     ok_all &= passed
     for p in polynomial_integrals(model.tag):
         image = lie_derivative(X, p)
-        passed = image.is_zero()
+        passed = not image
         checks.append(
             {
                 "integral": p.to_text(),
@@ -178,25 +178,27 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model = BianchiModel.from_tag(args.model, args.k)
+    model = BianchiModel(args.model, args.k)
     x0 = args.x0 or _six_rationals(DEFAULT_X0.get(args.model, DEFAULT_X0_GENERIC))
     cfg = dynamics.IntegratorConfig(t_end=args.t_end, tol=args.tol)
-    # Open --out first, so an unwritable path fails before the integration.
-    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+    # Open --out and its sidecar first, so an unwritable path fails before the integration.
+    with contextlib.ExitStack() as files:
+        csv, drift = sys.stdout, sys.stdout
+        if args.out:
+            stem = args.out[:-4] if args.out.endswith(".csv") else args.out
+            csv, drift = (files.enter_context(open(path, "w"))
+                          for path in (args.out, stem + ".drift.json"))
         traj = dynamics.integrate(model, [float(v) for v in x0], cfg)
-        dynamics.write_trajectory_csv(traj, fh)
-    payload = {
-        "model": model.tag,
-        "k": model.k_text(),
-        "x0": ",".join(str(v) for v in x0),
-        "t_end": args.t_end,
-        "tol": args.tol,
-        "drift": dynamics.drift_report(traj, dynamics.standard_invariants(model)),
-    }
-    sidecar = None
-    if args.out:
-        sidecar = (args.out[:-4] if args.out.endswith(".csv") else args.out) + ".drift.json"
-    _emit(payload, sidecar)
+        dynamics.write_trajectory_csv(traj, csv)
+        payload = {
+            "model": model.tag,
+            "k": model.k_text(),
+            "x0": ",".join(str(v) for v in x0),
+            "t_end": args.t_end,
+            "tol": args.tol,
+            "drift": dynamics.drift_report(traj, dynamics.standard_invariants(model)),
+        }
+        drift.write(json.dumps(payload, indent=2) + "\n")
     return 0 if traj.ok else 2
 
 
@@ -246,7 +248,7 @@ def cmd_report(args) -> int:
     ok_all = True
     for tag in MODEL_TAGS:
         for k in args.k_samples + [None]:
-            model = BianchiModel.from_tag(tag, k)
+            model = BianchiModel(tag, k)
             sweep = engine.degree_sweep(model, args.max_degree)
             X = build_bianchi(model)
             hx_ok, _ = verify_weighted_power_integral(X, model)

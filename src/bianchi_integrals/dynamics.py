@@ -54,15 +54,15 @@ _PAIRS = [(i, j) for i in range(NVARS) for j in range(i, NVARS)]
 _I, _J = np.array(_PAIRS).T
 
 
-def coefficient_matrix(model: BianchiModel, k: float) -> np.ndarray:
+def coefficient_matrix(tag: str, k: float) -> np.ndarray:
     """The 6x21 float matrix C with X(x) = C @ (x_i * x_j for i <= j).
 
     Read off the symbolic-k build of the model, each KPoly coefficient
     evaluated at the float k.
     """
-    X = build_bianchi(BianchiModel(model.tag, model.n, None))
+    X = build_bianchi(BianchiModel(tag, None))
     C = np.zeros((NVARS, len(_PAIRS)))
-    for row, comp in enumerate(X.components):
+    for row, comp in enumerate(X):
         for mono, coeff in comp.terms.items():
             pair = tuple(v for v, e in enumerate(mono) for _ in range(e))
             C[row, _PAIRS.index(pair)] = float(coeff(k))
@@ -106,7 +106,7 @@ def integrate(
     model: BianchiModel, x0: Sequence[float], cfg: IntegratorConfig = IntegratorConfig()
 ) -> Trajectory:
     """Adaptive RK5(4) orbit from t=0 to cfg.t_end; keeps every accepted step."""
-    C = coefficient_matrix(model, _float_k(model))
+    C = coefficient_matrix(model.tag, _float_k(model))
     t = 0.0
     y = np.array([float(v) for v in x0])
     ts = [t]

@@ -24,7 +24,7 @@ from .nullspace import PIVOT_RULE, SparseRow, sparse_kernel_basis
 from .vectorfields import (
     BIANCHI_TABLE,
     BianchiModel,
-    VectorField,
+    Field,
     build_bianchi,
     build_F,
     lie_derivative,
@@ -49,15 +49,14 @@ def enumerate_monomials(nvars: int, degree: int) -> List[Monomial]:
 class LinearSystem:
     """Sparse matrix of the annihilation condition.
 
-    Rows are keyed by (output monomial, k-power); in fixed-k mode the
-    k-power is always 0.  Columns follow the ansatz monomial order.  The
-    rows are those of the integer parts d*X_p (d the lcm of X's
-    denominators) and hold Python ints in both modes.
+    Rows are ordered by (output monomial, k-power), as _rows sorts them; in
+    fixed-k mode the k-power is always 0.  Columns follow the ansatz
+    monomial order.  The rows are those of the integer parts d*X_p (d the
+    lcm of X's denominators) and hold Python ints in both modes.
     """
 
     columns: Tuple[Monomial, ...]
     rows: List[SparseRow]
-    row_keys: List[Tuple[Monomial, int]]
 
     @property
     def ncols(self) -> int:
@@ -68,7 +67,7 @@ class LinearSystem:
         return len(self.rows)
 
 
-def _rows(columns: Iterable[Sequence[MultiPoly]]) -> Tuple[List[SparseRow], List[Tuple[Monomial, int]]]:
+def _rows(columns: Iterable[Sequence[MultiPoly]]) -> List[SparseRow]:
     """Sparse rows of the linear map sending unknown j to column j's images.
 
     Column j holds one image per power of k, so each row is keyed by
@@ -81,27 +80,26 @@ def _rows(columns: Iterable[Sequence[MultiPoly]]) -> Tuple[List[SparseRow], List
             for out_mono, coeff in image.terms.items():
                 rowmap.setdefault((out_mono, power), {})[j] = coeff
     keys = sorted(rowmap, key=lambda mk: (monomial_key(mk[0]), mk[1]), reverse=True)
-    return [rowmap[k] for k in keys], keys
+    return [rowmap[k] for k in keys]
 
 
-def _integer_parts(X: VectorField) -> List[VectorField]:
+def _integer_parts(X: Field) -> List[Field]:
     """[d*X_0, d*X_1, ...]: X split by the power of k, d the lcm of all its denominators.
 
     A rational coefficient is its own k^0 part, so at a fixed k this is [d*X].
     """
     split = [[(mono, c.coeffs if isinstance(c, KPoly) else (c,)) for mono, c in comp.terms.items()]
-             for comp in X.components]
+             for comp in X]
     d = lcm(*(c.denominator for comp in split for _, cs in comp for c in cs))
     nparts = max(len(cs) for comp in split for _, cs in comp)
     return [
-        VectorField(tuple(
-            MultiPoly(X.nvars, {mono: int(cs[p] * d) for mono, cs in comp if p < len(cs)})
-            for comp in split))
+        tuple(MultiPoly(len(X), {mono: int(cs[p] * d) for mono, cs in comp if p < len(cs)})
+              for comp in split)
         for p in range(nparts)
     ]
 
 
-def assemble_system(X: VectorField, m: int) -> LinearSystem:
+def assemble_system(X: Field, m: int) -> LinearSystem:
     """Linear system whose kernel is {degree-m homogeneous first integrals}.
 
     It is assembled from the integer parts d*X_p of X, one Lie derivative per
@@ -110,13 +108,13 @@ def assemble_system(X: VectorField, m: int) -> LinearSystem:
     """
     if m < 1:
         raise ValueError("ansatz degree must be >= 1")
-    basis = enumerate_monomials(X.nvars, m)
+    basis = enumerate_monomials(len(X), m)
     parts = _integer_parts(X)
     # A generator, so each column's images are dropped once its rows are read.
-    rows, keys = _rows(
-        [lie_derivative(part, MultiPoly(X.nvars, {mono: 1})) for part in parts] for mono in basis
+    rows = _rows(
+        [lie_derivative(part, MultiPoly(len(X), {mono: 1})) for part in parts] for mono in basis
     )
-    return LinearSystem(tuple(basis), rows, keys)
+    return LinearSystem(tuple(basis), rows)
 
 
 def _vector_to_poly(vec: Sequence[Fraction], columns: Sequence[Monomial]) -> MultiPoly:
@@ -127,14 +125,14 @@ def _vector_to_poly(vec: Sequence[Fraction], columns: Sequence[Monomial]) -> Mul
     return poly
 
 
-def kernel_basis(X: VectorField, m: int) -> List[MultiPoly]:
+def kernel_basis(X: Field, m: int) -> List[MultiPoly]:
     """Canonical degree-m first-integral basis over the rationals, with a
     post-hoc soundness re-check."""
     system = assemble_system(X, m)
     vectors, _rank = sparse_kernel_basis(system.rows, system.ncols)
     basis = [_vector_to_poly(v, system.columns) for v in vectors]
     for poly in basis:
-        if not lie_derivative(X, poly).is_zero():
+        if lie_derivative(X, poly):
             raise SoundnessError("kernel polynomial fails annihilation re-check: %s" % poly)
     return basis
 
@@ -263,10 +261,10 @@ def _transport_images(linear: MultiPoly, k: Fraction, monos: List[Monomial]) -> 
     c = K_MINUS_1_OVER_4(Fraction(k))
     d = lcm(c.denominator, *(v.denominator for v in linear.terms.values()))
     linear = linear.map_coefficients(lambda v: int(d * v))
-    transport = VectorField((int(d * c) * _f123(),) * 3)
+    transport = (int(d * c) * _f123(),) * 3
     images = []
     for mono in monos:
-        g = MultiPoly.from_monomial(3, mono)
+        g = MultiPoly(3, {mono: 1})
         images.append(linear * g + lie_derivative(transport, g))
     return d, images
 
@@ -283,7 +281,7 @@ def lemma_estrella_solve(
     y = [MultiPoly.variable(3, i) for i in range(3)]
     monos = enumerate_monomials(3, m)
     _, images = _transport_images(a1 * y[0] + a2 * y[1] + a3 * y[2], k, monos)
-    vectors, _ = sparse_kernel_basis(_rows(zip(images))[0], len(images))
+    vectors, _ = sparse_kernel_basis(_rows(zip(images)), len(images))
     return [_vector_to_poly(v, monos) for v in vectors]
 
 
@@ -304,7 +302,7 @@ def lemma_dificil_solve(k: Fraction, n: int) -> Tuple[List[MultiPoly], List[Tupl
     for i in range(n + 1):
         h_i = (u ** i) * (v ** (n - i))
         images.append(d * h_i.partial_derivative(1))
-    vectors, _ = sparse_kernel_basis(_rows(zip(images))[0], len(images))
+    vectors, _ = sparse_kernel_basis(_rows(zip(images)), len(images))
     ncols_g = len(g_monos)
     g_basis = [MultiPoly(3, {m: c for m, c in zip(g_monos, vec[:ncols_g]) if c}) for vec in vectors]
     return g_basis, [tuple(vec[ncols_g:]) for vec in vectors]
@@ -336,7 +334,7 @@ def sn_recursion_check(n: int) -> bool:
 
     for i in range(1, n + 1):
         if i < n:
-            recursion, at_a1_neg_a2 = P * c(n - 1, i), MultiPoly.zero(2)
+            recursion, at_a1_neg_a2 = P * c(n - 1, i), MultiPoly(2)
         else:
             recursion, at_a1_neg_a2 = n * Q ** (n - 1), n * 4 ** (n - 1) * A2 ** (2 * n - 2)
         c_ni = c(n, i)

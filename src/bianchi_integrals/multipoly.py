@@ -4,6 +4,10 @@ Monomials are exponent tuples of fixed length (one entry per state
 variable).  The canonical term order is graded lexicographic with
 x1 > x2 > ... > xn, so homogeneous blocks are contiguous and printing,
 hashing and report output are deterministic.
+
+``MultiPoly(n)`` is the zero polynomial in n variables, ``MultiPoly(n,
+{mono: c})`` the term c*x^mono, and a polynomial is false exactly when it
+is zero.
 """
 
 from __future__ import annotations
@@ -32,21 +36,24 @@ class MultiPoly:
 
     def __init__(self, nvars: int, terms: Optional[Dict[Monomial, object]] = None):
         self.nvars = nvars
-        clean: Dict[Monomial, object] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                mono = tuple(mono)
-                if len(mono) != nvars:
-                    raise ValueError("monomial %r has wrong arity for %d variables" % (mono, nvars))
-                if coeff:
-                    clean[mono] = coeff
-        self.terms = clean
+        self.terms: Dict[Monomial, object] = {}
+        for mono, coeff in (terms or {}).items():
+            mono = tuple(mono)
+            if len(mono) != nvars:
+                raise ValueError("monomial %r has wrong arity for %d variables" % (mono, nvars))
+            if coeff:
+                self.terms[mono] = coeff
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars)
+    def _of(cls, nvars: int, terms: Dict[Monomial, object]) -> "MultiPoly":
+        """A polynomial from terms whose monomials are already checked; zero
+        coefficients are dropped here, once."""
+        result = cls.__new__(cls)
+        result.nvars = nvars
+        result.terms = {mono: c for mono, c in terms.items() if c}
+        return result
 
     @classmethod
     def constant(cls, nvars: int, value) -> "MultiPoly":
@@ -59,14 +66,7 @@ class MultiPoly:
         mono = tuple(1 if i == index else 0 for i in range(nvars))
         return cls(nvars, {mono: 1})
 
-    @classmethod
-    def from_monomial(cls, nvars: int, mono: Monomial) -> "MultiPoly":
-        return cls(nvars, {tuple(mono): 1})
-
     # -- queries -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -106,24 +106,13 @@ class MultiPoly:
             return NotImplemented
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            if mono in out:
-                s = out[mono] + coeff
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
-            else:
-                out[mono] = coeff
-        result = MultiPoly(self.nvars)
-        result.terms = out
-        return result
+            out[mono] = out[mono] + coeff if mono in out else coeff
+        return MultiPoly._of(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        result = MultiPoly(self.nvars)
-        result.terms = {m: -c for m, c in self.terms.items()}
-        return result
+        return MultiPoly._of(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._as_poly(other)
@@ -142,18 +131,11 @@ class MultiPoly:
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 mono = monomial_mul(ma, mb)
-                prod = ca * cb
                 if mono in out:
-                    s = out[mono] + prod
-                    if s:
-                        out[mono] = s
-                    else:
-                        del out[mono]
-                elif prod:
-                    out[mono] = prod
-        result = MultiPoly(self.nvars)
-        result.terms = out
-        return result
+                    out[mono] += ca * cb
+                else:
+                    out[mono] = ca * cb
+        return MultiPoly._of(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -189,9 +171,7 @@ class MultiPoly:
             if e:
                 lowered = mono[:var_index] + (e - 1,) + mono[var_index + 1:]
                 out[lowered] = coeff * e
-        result = MultiPoly(self.nvars)
-        result.terms = out
-        return result
+        return MultiPoly._of(self.nvars, out)
 
     def evaluate(self, point: Sequence):
         """Exact (or float, if the point is float) evaluation."""

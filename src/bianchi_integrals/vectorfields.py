@@ -1,8 +1,8 @@
 """Bianchi class A vector fields, Lie derivatives and integral verification.
 
-Builds the six-component quadratic systems parameterized by the sign
-pattern (n1, n2, n3) and the equation-of-state parameter k, either with a
-fixed rational k or with symbolic-k (KPoly) coefficients.
+A model is its tag and k: the tag fixes the sign pattern (n1, n2, n3),
+and k is a fixed rational or None for symbolic k (KPoly coefficients).
+A vector field on Q^n is the tuple of its n MultiPoly components.
 """
 
 from __future__ import annotations
@@ -39,20 +39,17 @@ class BianchiModel:
     """One of the six class A models at a fixed rational k, or symbolic k."""
 
     tag: str
-    n: Tuple[int, int, int]
     k: Optional[Fraction]  # None means symbolic-k mode
 
     def __post_init__(self):
         if self.tag not in BIANCHI_TABLE:
             raise ValueError("unknown Bianchi tag %r" % (self.tag,))
-        if self.n != BIANCHI_TABLE[self.tag]:
-            raise ValueError("sign pattern %r does not match type %s" % (self.n, self.tag))
         if self.k is not None and not 0 <= self.k < 1:
             raise ValueError("k must satisfy 0 <= k < 1, got %s" % self.k)
 
-    @classmethod
-    def from_tag(cls, tag: str, k: Optional[Fraction]) -> "BianchiModel":
-        return cls(tag, BIANCHI_TABLE.get(tag), k)
+    @property
+    def n(self) -> Tuple[int, int, int]:
+        return BIANCHI_TABLE[self.tag]
 
     @property
     def symbolic(self) -> bool:
@@ -62,15 +59,8 @@ class BianchiModel:
         return "symbolic" if self.k is None else str(self.k)
 
 
-@dataclass(frozen=True)
-class VectorField:
-    """Polynomial vector field; component i is the i-th right-hand side."""
-
-    components: Tuple[MultiPoly, ...]
-
-    @property
-    def nvars(self) -> int:
-        return self.components[0].nvars
+# A polynomial vector field on Q^n: component i is the i-th right-hand side.
+Field = Tuple[MultiPoly, ...]
 
 
 def build_F(n1: int, n2: int, n3: int) -> MultiPoly:
@@ -87,7 +77,7 @@ def build_F(n1: int, n2: int, n3: int) -> MultiPoly:
     )
 
 
-def build_bianchi(model: BianchiModel) -> VectorField:
+def build_bianchi(model: BianchiModel) -> Field:
     """The quadratic system for the given model.
 
     Fixed-k mode yields Fraction or int coefficients; symbolic mode coerces
@@ -110,20 +100,20 @@ def build_bianchi(model: BianchiModel) -> VectorField:
             c.map_coefficients(lambda v: v if isinstance(v, KPoly) else KPoly.constant(v))
             for c in comps
         ]
-    return VectorField(tuple(comps))
+    return tuple(comps)
 
 
-def lie_derivative(X: VectorField, p: MultiPoly) -> MultiPoly:
+def lie_derivative(X: Field, p: MultiPoly) -> MultiPoly:
     """sum_i X_i * dp/dx_i, computed exactly.
 
     Expanded term by term into one dict: a term c*x^a of p with a_i > 0
     meets each term d*x^b of X_i in d*a_i*c * x^(a-e_i+b).  Zero sums are
     dropped once, at the end.
     """
-    if p.nvars != X.nvars:
+    if p.nvars != len(X):
         raise ValueError("variable count mismatch")
     out: Dict[Monomial, object] = {}
-    for i, comp in enumerate(X.components):
+    for i, comp in enumerate(X):
         comp_terms = comp.terms.items()
         for a, c in p.terms.items():
             e = a[i]
@@ -136,9 +126,7 @@ def lie_derivative(X: VectorField, p: MultiPoly) -> MultiPoly:
                         out[mono] += d * ce
                     else:
                         out[mono] = d * ce
-    result = MultiPoly(p.nvars)
-    result.terms = {mono: v for mono, v in out.items() if v}
-    return result
+    return MultiPoly._of(p.nvars, out)
 
 
 def divide_by_variable(p: MultiPoly, var_index: int) -> MultiPoly:
@@ -153,7 +141,7 @@ def divide_by_variable(p: MultiPoly, var_index: int) -> MultiPoly:
     return MultiPoly(p.nvars, out)
 
 
-def verify_weighted_power_integral(X: VectorField, model: BianchiModel):
+def verify_weighted_power_integral(X: Field, model: BianchiModel):
     """Exact check that the energy integral (x1 x2 x3)^w * F, w = (k-1)/2, is
     a first integral of X.
 
@@ -170,8 +158,8 @@ def verify_weighted_power_integral(X: VectorField, model: BianchiModel):
     w = K_MINUS_1_OVER_2 if model.symbolic else K_MINUS_1_OVER_2(model.k)
     residual = lie_derivative(X, F)
     for i in range(3):
-        residual += (F * divide_by_variable(X.components[i], i)) * w
-    return residual.is_zero(), residual
+        residual += (F * divide_by_variable(X[i], i)) * w
+    return not residual, residual
 
 
 def polynomial_integrals(tag: str) -> Tuple[MultiPoly, ...]:

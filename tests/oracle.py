@@ -23,8 +23,8 @@ SINGULAR_VALUE_TOL = 1e-6
 
 def product_rule_image(X, p):
     """sum_i X_i * dp/dx_i from MultiPoly partial derivatives, products and sums."""
-    total = MultiPoly.zero(p.nvars)
-    for i, comp in enumerate(X.components):
+    total = MultiPoly(p.nvars)
+    for i, comp in enumerate(X):
         total = total + comp * p.partial_derivative(i)
     return total
 
@@ -88,10 +88,8 @@ def annihilation_matrix(X, m):
     directly from the product-rule images of the ansatz monomials: one row
     per output monomial and power of k, so that a symbolic-k kernel holds
     for every k."""
-    columns = enumerate_monomials(X.nvars, m)
-    images = [
-        product_rule_image(X, MultiPoly.from_monomial(X.nvars, mono)) for mono in columns
-    ]
+    columns = enumerate_monomials(len(X), m)
+    images = [product_rule_image(X, MultiPoly(len(X), {mono: 1})) for mono in columns]
     split = [{mono: k_powers(c) for mono, c in img.terms.items()} for img in images]
     out_keys = sorted(
         {(mono, power) for img in split for mono, cs in img.items() for power in range(len(cs))},

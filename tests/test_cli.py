@@ -354,6 +354,21 @@ class TestUsageErrors:
         assert err.count("error:") == 1 and path in err.splitlines()[-1]
         assert "Traceback" not in err
 
+    def test_sidecar_path_that_is_a_directory_exits_one_before_integrating(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def integrate(*args):
+            raise AssertionError("integrated before the drift sidecar was opened")
+
+        monkeypatch.setattr(dynamics, "integrate", integrate)
+        (tmp_path / "o.drift.json").mkdir()
+        path = str(tmp_path / "o.csv")
+        code, out, err = run(capsys, ["simulate", "--model", "IX", "--out", path])
+        assert code == 1
+        assert out == ""
+        assert err.count("error:") == 1 and "o.drift.json" in err.splitlines()[-1]
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "argv, usage",
         [

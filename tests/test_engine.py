@@ -57,21 +57,24 @@ class TestEnumerateMonomials:
 
 class TestAssembleSystem:
     def test_shape_small(self):
-        X = build_bianchi(BianchiModel.from_tag("IX", Fraction(1, 2)))
+        X = build_bianchi(BianchiModel("IX", Fraction(1, 2)))
         system = assemble_system(X, 1)
         assert system.ncols == 6
-        assert all(sum(key[0]) == 2 for key in system.row_keys)
-        assert all(key[1] == 0 for key in system.row_keys)
+        rows, keys = _k_power_rows(X, system.columns)
+        assert all(sum(mono) == 2 and power == 0 for mono, power in keys)
+        assert _row_multiples(system.rows, rows) == {8}  # d clears (1/2 - 1)/4
 
     def test_symbolic_mode_adds_k_power_rows(self):
-        X = build_bianchi(BianchiModel.from_tag("IX", None))
+        X = build_bianchi(BianchiModel("IX", None))
         system = assemble_system(X, 1)
-        powers = {key[1] for key in system.row_keys}
-        assert powers == {0, 1}
+        # The rows are 4 times the k^0 and k^1 rows of X's own system.
+        rows, keys = _k_power_rows(X, system.columns)
+        assert {power for _, power in keys} == {0, 1}
+        assert _row_multiples(system.rows, rows) == {4}
         assert all(type(v) is int for row in system.rows for v in row.values())
 
     def test_rejects_degree_zero(self):
-        X = build_bianchi(BianchiModel.from_tag("I", Fraction(1, 2)))
+        X = build_bianchi(BianchiModel("I", Fraction(1, 2)))
         with pytest.raises(ValueError):
             assemble_system(X, 0)
 
@@ -80,7 +83,7 @@ class TestAssembleSystem:
         # The sign flip of (x1, x2, x3) is a symmetry of X, so every
         # connected block lies in one parity class of the x1+x2+x3 degree;
         # from m = 2 on each class is connected.
-        X = build_bianchi(BianchiModel.from_tag(tag, Fraction(1, 2)))
+        X = build_bianchi(BianchiModel(tag, Fraction(1, 2)))
         for m in range(1, 7):
             system = assemble_system(X, m)
             blocks = sorted(sorted(cols) for cols, _ in _blocks(system.rows, system.ncols))
@@ -98,12 +101,18 @@ def _k_power_rows(X, columns):
     """Rows of X's own system: its Lie derivative images, split by k-power."""
     rowmap = {}
     for j, mono in enumerate(columns):
-        for out, c in lie_derivative(X, MultiPoly.from_monomial(6, mono)).terms.items():
+        for out, c in lie_derivative(X, MultiPoly(6, {mono: 1})).terms.items():
             for power, v in enumerate(oracle.k_powers(c)):
                 if v:
                     rowmap.setdefault((out, power), {})[j] = v
     keys = sorted(rowmap, key=lambda mk: (monomial_key(mk[0]), mk[1]), reverse=True)
     return [rowmap[key] for key in keys], keys
+
+
+def _row_multiples(int_rows, rows):
+    """{int_rows[i][c] / rows[i][c]} over every entry, once both lists have the same row supports."""
+    assert [row.keys() for row in int_rows] == [row.keys() for row in rows]
+    return {Fraction(v) / rows[i][c] for i, row in enumerate(int_rows) for c, v in row.items()}
 
 
 class TestIntegerAssembly:
@@ -112,20 +121,15 @@ class TestIntegerAssembly:
     @pytest.mark.parametrize("tag", sorted(BIANCHI_TABLE))
     @pytest.mark.parametrize("k", [Fraction(1, 2), Fraction(3, 7), Fraction(0), None])
     def test_integer_rows_with_the_kernel_of_the_rational_rows(self, tag, k):
-        X = build_bianchi(BianchiModel.from_tag(tag, k))
+        X = build_bianchi(BianchiModel(tag, k))
         for m in (1, 2, 3, 4):
             system = assemble_system(X, m)
             assert all(type(v) is int for row in system.rows for v in row.values())
-            # The rows of X itself, in the same row order.
-            rows, keys = _k_power_rows(X, system.columns)
-            assert keys == system.row_keys
+            # The rows of X itself, in the same row order: each integer row
+            # is one common positive multiple d of its row.
+            rows, _ = _k_power_rows(X, system.columns)
             assert any(v.denominator > 1 for row in rows for v in row.values())
-            # Each integer row is one common positive multiple d of its row.
-            ratios = {
-                Fraction(v) / rows[i][c] for i, row in enumerate(system.rows)
-                for c, v in row.items()
-            }
-            assert [row.keys() for row in system.rows] == [row.keys() for row in rows]
+            ratios = _row_multiples(system.rows, rows)
             assert len(ratios) == 1 and ratios.pop() > 0
             if m < 4:  # the dense oracle takes seconds at m = 4
                 basis, _ = sparse_kernel_basis(system.rows, system.ncols)
@@ -133,15 +137,29 @@ class TestIntegerAssembly:
                 assert [list(v) for v in basis] == oracle.dense_kernel(dense, system.ncols)
 
     def test_one_part_per_power_of_k(self):
-        fixed = build_bianchi(BianchiModel.from_tag("IX", Fraction(1, 2)))
+        fixed = build_bianchi(BianchiModel("IX", Fraction(1, 2)))
         assert len(engine._integer_parts(fixed)) == 1
         # 4X = 4X_0 + k*4X_1, and k enters only X_4..X_6 through (k-1)/4.
-        X = build_bianchi(BianchiModel.from_tag("IX", None))
+        X = build_bianchi(BianchiModel("IX", None))
         parts = engine._integer_parts(X)
         assert len(parts) == 2
-        for comp, part0, part1 in zip(X.components, parts[0].components, parts[1].components):
+        for comp, part0, part1 in zip(X, parts[0], parts[1]):
             assert part0 == comp.map_coefficients(lambda c: 4 * c(0))
             assert part1 == comp.map_coefficients(lambda c: 4 * (c(1) - c(0)))
+
+
+class TestSymbolicKernelIsStackedKernel:
+    """k enters X linearly, so the rows at k = 0 and k = 1/2 span the k^0 and k^1 rows."""
+
+    @pytest.mark.parametrize("tag", sorted(BIANCHI_TABLE))
+    def test_symbolic_kernel_equals_the_kernel_at_k_0_and_one_half_stacked(self, tag):
+        symbolic, at_0, at_half = (build_bianchi(BianchiModel(tag, k))
+                                   for k in (None, Fraction(0), Fraction(1, 2)))
+        for m in range(1, 5):
+            system = assemble_system(symbolic, m)
+            stacked = assemble_system(at_0, m).rows + assemble_system(at_half, m).rows
+            assert (sparse_kernel_basis(stacked, system.ncols)
+                    == sparse_kernel_basis(system.rows, system.ncols))
 
 
 class TestKernelVsOracle:
@@ -150,7 +168,7 @@ class TestKernelVsOracle:
     @pytest.mark.parametrize("tag", sorted(BIANCHI_TABLE))
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_same_kernel_subspace(self, tag, m):
-        X = build_bianchi(BianchiModel.from_tag(tag, Fraction(1, 2)))
+        X = build_bianchi(BianchiModel(tag, Fraction(1, 2)))
         oracle_vectors, columns = oracle.kernel_oracle(X, m)
         assert columns == list(assemble_system(X, m).columns)
         # Both give the canonical basis: one vector per free column.
@@ -159,7 +177,7 @@ class TestKernelVsOracle:
 
     @pytest.mark.parametrize("tag", sorted(BIANCHI_TABLE))
     def test_symbolic_k_canonical_basis(self, tag):
-        X = build_bianchi(BianchiModel.from_tag(tag, None))
+        X = build_bianchi(BianchiModel(tag, None))
         for m in (1, 2, 3):
             oracle_vectors, _ = oracle.kernel_oracle(X, m)
             assert kernel_vectors(X, m) == oracle_vectors
@@ -167,7 +185,7 @@ class TestKernelVsOracle:
     def test_k_sample_grid_degree_two(self):
         for tag in ("I", "II", "VIII"):
             for k in K_SAMPLES:
-                X = build_bianchi(BianchiModel.from_tag(tag, k))
+                X = build_bianchi(BianchiModel(tag, k))
                 oracle_vectors, _ = oracle.kernel_oracle(X, 2)
                 assert oracle.same_subspace(kernel_vectors(X, 2), oracle_vectors)
 
@@ -175,40 +193,40 @@ class TestKernelVsOracle:
 class TestKernelContents:
     def test_every_kernel_polynomial_annihilates(self):
         for tag in sorted(BIANCHI_TABLE):
-            X = build_bianchi(BianchiModel.from_tag(tag, Fraction(2, 3)))
+            X = build_bianchi(BianchiModel(tag, Fraction(2, 3)))
             for m in (1, 2, 3):
                 for p in kernel_basis(X, m):
-                    assert lie_derivative(X, p).is_zero()
+                    assert not lie_derivative(X, p)
                     assert {sum(mono) for mono in p.terms} == {m}
                     assert p.leading_coefficient() == 1
 
     def test_type_II_powers(self):
         x = [MultiPoly.variable(6, i) for i in range(6)]
-        X = build_bianchi(BianchiModel.from_tag("II", Fraction(1, 2)))
+        X = build_bianchi(BianchiModel("II", Fraction(1, 2)))
         for m in range(1, 5):
             assert kernel_basis(X, m) == [(x[4] - x[5]) ** m]
 
     def test_type_I_dimension_growth(self):
-        X = build_bianchi(BianchiModel.from_tag("I", Fraction(1, 2)))
+        X = build_bianchi(BianchiModel("I", Fraction(1, 2)))
         dims = [len(kernel_basis(X, m)) for m in range(1, 5)]
         assert dims == [2, 3, 4, 5]
 
     def test_nonintegrable_models_have_empty_kernels(self):
         for tag in ("VI0", "VII0", "VIII", "IX"):
             for k in K_SAMPLES:
-                X = build_bianchi(BianchiModel.from_tag(tag, k))
+                X = build_bianchi(BianchiModel(tag, k))
                 for m in (1, 2, 3):
                     assert len(kernel_basis(X, m)) == 0
 
     def test_symbolic_mode_matches_fixed_k_for_integrable_models(self):
         for tag in ("I", "II"):
-            Xs = build_bianchi(BianchiModel.from_tag(tag, None))
+            Xs = build_bianchi(BianchiModel(tag, None))
             for m in (1, 2, 3):
                 assert len(kernel_basis(Xs, m)) == expected_dimension(tag, m)
 
     def test_soundness_recheck_path(self, monkeypatch):
         # the re-check runs on every call: silent on a correct kernel ...
-        X = build_bianchi(BianchiModel.from_tag("II", Fraction(1, 2)))
+        X = build_bianchi(BianchiModel("II", Fraction(1, 2)))
         kernel_basis(X, 3)
 
         # ... and raises on a vector that is not in it
@@ -222,7 +240,7 @@ class TestKernelContents:
 
 class TestDegreeSweep:
     def test_report_shape_and_pass(self):
-        d = degree_sweep(BianchiModel.from_tag("II", Fraction(1, 2)), m_max=4)
+        d = degree_sweep(BianchiModel("II", Fraction(1, 2)), m_max=4)
         assert d["model"] == "II"
         assert d["mode"] == "fixed-k"
         assert d["pass"] is True
@@ -232,7 +250,7 @@ class TestDegreeSweep:
         assert [rec["dim"] for rec in d["degrees"]] == [1, 1, 1, 1]
 
     def test_symbolic_sweep_IX(self):
-        d = degree_sweep(BianchiModel.from_tag("IX", None), m_max=3)
+        d = degree_sweep(BianchiModel("IX", None), m_max=3)
         assert d["pass"] is True
         assert d["mode"] == "symbolic-k"
         assert [rec["dim"] for rec in d["degrees"]] == [0, 0, 0]
@@ -340,7 +358,7 @@ class TestIndependenceRank:
                 assert ri == [a + t * (b - a) for a, b in zip(r0, r1)]
         values = [_det([[row[c] for c in columns] for row in at_k]) for at_k in rows]
         k = MultiPoly.variable(1, 0)
-        interpolated = MultiPoly.zero(1)
+        interpolated = MultiPoly(1)
         for i, (k_i, value) in enumerate(zip(ks, values)):
             lagrange = MultiPoly.constant(1, value)
             for j, k_j in enumerate(ks):

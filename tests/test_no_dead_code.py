@@ -1,4 +1,5 @@
-"""Every function, class and method defined in ``src/`` has a caller outside the tests.
+"""Every function, class, method and dataclass field defined in ``src/`` has
+a use outside the tests.
 
 The scan walks the syntax trees of the package (its ``__init__.py`` aside)
 and of ``bench/``, and collects every name they use.  A top-level function
@@ -6,11 +7,13 @@ or class counts as used when its name occurs as a ``Name`` node, an
 ``Attribute`` name, an import alias or a string constant.  A method counts
 as used only when its name occurs as an ``Attribute`` name or a string
 constant: a method is reached through an object, so a bare local of the
-same name (``entry`` in ``for entry in rows``, say) is not a use of it.
-String constants count because the benchmark tracer hooks functions by
-name.  A definition whose name is not used is reachable only from the
-tests, and fails this test.  Dunder names are exempt: the interpreter
-calls them.
+same name (``entry`` in ``for entry in rows``, say) is not a use of it.  A
+dataclass field counts as used when its name occurs as an ``Attribute``
+name, a keyword argument or a string constant: a field that is only ever
+filled positionally is never read.  String constants count because the
+benchmark tracer hooks functions by name.  A definition whose name is not
+used is reachable only from the tests, and fails this test.  Dunder names
+are exempt: the interpreter calls them.
 
 The scan still matches names, not bindings, so it cannot see a method whose
 name is also an attribute of something else (``args.degree`` hid
@@ -31,46 +34,70 @@ class Report:
 entries = [entry for entry in vars(Report)]
 """
 
+FIELD_CASE = """
+@dataclass(frozen=True)
+class Pair:
+    left: int
+    right: int
+
+right = Pair(1, 2).left
+"""
+
+# The kinds of use that count for each kind of definition.
+COUNTS = {
+    "top": ("name", "attribute", "string"),
+    "method": ("attribute", "string"),
+    "field": ("attribute", "keyword", "string"),
+}
+
 
 def _sources():
     paths = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     return paths, paths + sorted((ROOT / "bench").glob("*.py"))
 
 
+def _is_dataclass(node):
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
 def _definitions(tree):
-    """(name, label, is_method) for each top-level definition and method."""
+    """(name, label, kind) for each top-level definition, method and dataclass field."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node.name, False
+            yield node.name, node.name, "top"
         if isinstance(node, ast.ClassDef):
+            has_fields = _is_dataclass(node)
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield item.name, "%s.%s" % (node.name, item.name), True
+                    yield item.name, "%s.%s" % (node.name, item.name), "method"
+                elif has_fields and isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield item.target.id, "%s.%s" % (node.name, item.target.id), "field"
 
 
 def _uses(tree):
-    """(name, through_attribute) for each use of a name in the tree."""
+    """(name, kind of use) for each use of a name in the tree."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, False
+            yield node.id, "name"
         elif isinstance(node, ast.alias):
-            yield node.name.rsplit(".", 1)[-1], False
+            yield node.name.rsplit(".", 1)[-1], "name"
         elif isinstance(node, ast.Attribute):
-            yield node.attr, True
+            yield node.attr, "attribute"
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg, "keyword"
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value, True
+            yield node.value, "string"
 
 
 def _unused(trees, defining):
-    uses = [use for tree in trees.values() for use in _uses(tree)]
-    attributes = {name for name, through_attribute in uses if through_attribute}
-    names = attributes | {name for name, _ in uses}
+    uses = {use for tree in trees.values() for use in _uses(tree)}
     return [
         "%s:%s" % (path.name, label)
         for path in defining
-        for name, label, is_method in _definitions(trees[path])
+        for name, label, kind in _definitions(trees[path])
         if not (name.startswith("__") and name.endswith("__"))
-        and name not in (attributes if is_method else names)
+        and not any((name, use) in uses for use in COUNTS[kind])
     ]
 
 
@@ -83,3 +110,8 @@ def test_every_definition_in_src_has_a_caller_outside_tests():
 def test_a_method_named_like_a_local_is_caught():
     path = Path("case.py")
     assert _unused({path: ast.parse(ENTRY_CASE)}, [path]) == ["case.py:Report.entry"]
+
+
+def test_a_dataclass_field_only_filled_positionally_is_caught():
+    path = Path("case.py")
+    assert _unused({path: ast.parse(FIELD_CASE)}, [path]) == ["case.py:Pair.right"]
