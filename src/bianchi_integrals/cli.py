@@ -22,6 +22,7 @@ from .vectorfields import (
     build_bianchi,
     lie_derivative,
     polynomial_integrals,
+    text_at,
     verify_weighted_power_integral,
 )
 
@@ -115,13 +116,13 @@ def cmd_catalog(args) -> int:
     models = []
     for tag in MODEL_TAGS:
         model = BianchiModel(tag, args.k)
-        X = build_bianchi(model)
+        fields = [build_bianchi(tag, k) for k in model.ks]
         models.append(
             {
                 "model": tag,
                 "n": list(model.n),
                 "k": model.k_text(),
-                "components": [c.to_text() for c in X],
+                "components": [text_at(values) for values in zip(*fields)],
             }
         )
     if args.format == "text":
@@ -145,35 +146,18 @@ def cmd_find(args) -> int:
 
 def cmd_verify(args) -> int:
     model = BianchiModel(args.model, args.k)
-    X = build_bianchi(model)
-    checks = []
-    ok_all = True
-    passed, witness = verify_weighted_power_integral(X, model)
-    checks.append(
-        {
-            "integral": "(x1*x2*x3)^((k-1)/2) * F",
-            "kind": "weighted-power",
-            "pass": passed,
-            "witness": witness.to_text(),
-        }
-    )
-    ok_all &= passed
-    for p in polynomial_integrals(model.tag):
-        image = lie_derivative(X, p)
-        passed = not image
-        checks.append(
-            {
-                "integral": p.to_text(),
-                "kind": "polynomial",
-                "pass": passed,
-                "witness": image.to_text(),
-            }
-        )
-        ok_all &= passed
-    _emit(
-        {"model": model.tag, "k": model.k_text(), "checks": checks, "pass": bool(ok_all)},
-        args.out,
-    )
+    fields = [build_bianchi(model.tag, k) for k in model.ks]
+    # Each witness is affine in k, so at symbolic k it vanishes in Q[k]
+    # exactly when it vanishes at both k the model is built at.
+    witnesses = [("(x1*x2*x3)^((k-1)/2) * F", "weighted-power",
+                  [verify_weighted_power_integral(X, model.tag, k)[1]
+                   for X, k in zip(fields, model.ks)])]
+    witnesses += [(p.to_text(), "polynomial", [lie_derivative(X, p) for X in fields])
+                  for p in polynomial_integrals(model.tag)]
+    checks = [{"integral": integral, "kind": kind, "pass": not any(values),
+               "witness": text_at(values)} for integral, kind, values in witnesses]
+    ok_all = all(check["pass"] for check in checks)
+    _emit({"model": model.tag, "k": model.k_text(), "checks": checks, "pass": ok_all}, args.out)
     return 0 if ok_all else 2
 
 
@@ -181,13 +165,17 @@ def cmd_simulate(args) -> int:
     model = BianchiModel(args.model, args.k)
     x0 = args.x0 or _six_rationals(DEFAULT_X0.get(args.model, DEFAULT_X0_GENERIC))
     cfg = dynamics.IntegratorConfig(t_end=args.t_end, tol=args.tol)
-    # Open --out and its sidecar first, so an unwritable path fails before the integration.
+    # Open --out and its sidecar first, so an unwritable path fails before the
+    # integration.  Mode "a" truncates neither file until both are open.
     with contextlib.ExitStack() as files:
         csv, drift = sys.stdout, sys.stdout
         if args.out:
             stem = args.out[:-4] if args.out.endswith(".csv") else args.out
-            csv, drift = (files.enter_context(open(path, "w"))
-                          for path in (args.out, stem + ".drift.json"))
+            csv, drift = [files.enter_context(open(path, "a"))
+                          for path in (args.out, stem + ".drift.json")]
+            for fh in (csv, drift):
+                fh.seek(0)
+                fh.truncate()
         traj = dynamics.integrate(model, [float(v) for v in x0], cfg)
         dynamics.write_trajectory_csv(traj, csv)
         payload = {
@@ -250,8 +238,8 @@ def cmd_report(args) -> int:
         for k in args.k_samples + [None]:
             model = BianchiModel(tag, k)
             sweep = engine.degree_sweep(model, args.max_degree)
-            X = build_bianchi(model)
-            hx_ok, _ = verify_weighted_power_integral(X, model)
+            hx_ok = all(verify_weighted_power_integral(build_bianchi(tag, k), tag, k)[0]
+                        for k in model.ks)
             cell = {
                 "model": tag,
                 "statement": STATEMENT_OF_MODEL[tag],

@@ -13,8 +13,9 @@ from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
+from .coefficients import SYMBOLIC_K
 from .multipoly import MultiPoly
-from .vectorfields import NVARS, BianchiModel, build_bianchi, build_F, polynomial_integrals
+from .vectorfields import NVARS, BianchiModel, build_bianchi, build_F, k_parts, polynomial_integrals
 
 
 class DomainError(ValueError):
@@ -57,16 +58,17 @@ _I, _J = np.array(_PAIRS).T
 def coefficient_matrix(tag: str, k: float) -> np.ndarray:
     """The 6x21 float matrix C with X(x) = C @ (x_i * x_j for i <= j).
 
-    Read off the symbolic-k build of the model, each KPoly coefficient
-    evaluated at the float k.
+    X is affine in k, so C = C1*k + C0, with C0 and C1 the float k^0 and
+    k^1 parts of the exact builds at SYMBOLIC_K: each entry is
+    float(c1)*k + float(c0).
     """
-    X = build_bianchi(BianchiModel(tag, None))
-    C = np.zeros((NVARS, len(_PAIRS)))
-    for row, comp in enumerate(X):
-        for mono, coeff in comp.terms.items():
-            pair = tuple(v for v, e in enumerate(mono) for _ in range(e))
-            C[row, _PAIRS.index(pair)] = float(coeff(k))
-    return C
+    C0, C1 = np.zeros((2, NVARS, len(_PAIRS)))
+    for row, values in enumerate(zip(*(build_bianchi(tag, s) for s in SYMBOLIC_K))):
+        for C, part in zip((C0, C1), k_parts(*values)):
+            for mono, coeff in part.terms.items():
+                pair = tuple(v for v, e in enumerate(mono) for _ in range(e))
+                C[row, _PAIRS.index(pair)] = float(coeff)
+    return C1 * k + C0
 
 
 def rhs(C: np.ndarray, x: np.ndarray) -> np.ndarray:

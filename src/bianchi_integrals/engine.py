@@ -2,12 +2,13 @@
 
 The annihilation condition X(P) = 0 on a degree-m homogeneous ansatz is
 assembled as an exact linear system whose kernel is the space of degree-m
-polynomial first integrals.  Its entries are Python ints in both modes: X
-is split by the power of k (one part at a fixed k, the k^0 and k^1 parts in
-symbolic mode), each part is scaled by d, the lcm of X's denominators, and
-each part's image gets its own rows.  Kernel bases are recomputed
-canonically, re-verified against the Lie derivative of X itself, and
-compared to the expected dimensions per model.
+polynomial first integrals.  A model gives one field per k it is built
+at, two at symbolic k.  X(P) is affine in k, so it is zero for every k
+exactly when it is zero at both k of SYMBOLIC_K: the kernel of the two
+systems stacked is the symbolic kernel.  Its entries are Python ints.
+Kernel bases are recomputed canonically, re-verified against the Lie
+derivative of every field, and compared to the expected dimensions per
+model.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import combinations_with_replacement
 from math import comb, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .coefficients import K_MINUS_1_OVER_2, K_MINUS_1_OVER_4, KPoly
+from .coefficients import K_MINUS_1_OVER_2, K_MINUS_1_OVER_4
 from .multipoly import Monomial, MultiPoly, monomial_key
 from .nullspace import PIVOT_RULE, SparseRow, sparse_kernel_basis
 from .vectorfields import (
@@ -49,10 +50,9 @@ def enumerate_monomials(nvars: int, degree: int) -> List[Monomial]:
 class LinearSystem:
     """Sparse matrix of the annihilation condition.
 
-    Rows are ordered by (output monomial, k-power), as _rows sorts them; in
-    fixed-k mode the k-power is always 0.  Columns follow the ansatz
-    monomial order.  The rows are those of the integer parts d*X_p (d the
-    lcm of X's denominators) and hold Python ints in both modes.
+    Rows are ordered by (output monomial, part index), as _rows sorts them;
+    a fixed k has one part.  Columns follow the ansatz monomial order.  The
+    rows, Python ints, are those of the parts assemble_system builds.
     """
 
     columns: Tuple[Monomial, ...]
@@ -70,50 +70,38 @@ class LinearSystem:
 def _rows(columns: Iterable[Sequence[MultiPoly]]) -> List[SparseRow]:
     """Sparse rows of the linear map sending unknown j to column j's images.
 
-    Column j holds one image per power of k, so each row is keyed by
-    (output monomial, k-power), largest first, and in symbolic mode the
-    kernel holds for all k simultaneously.  A single image has k-power 0.
+    Column j holds one image per part, so each row is keyed by (output
+    monomial, part index), largest first, and the kernel annihilates every
+    part at once.  A single image has part index 0.
     """
     rowmap: Dict[Tuple[Monomial, int], SparseRow] = {}
     for j, images in enumerate(columns):
-        for power, image in enumerate(images):
+        for f, image in enumerate(images):
             for out_mono, coeff in image.terms.items():
-                rowmap.setdefault((out_mono, power), {})[j] = coeff
+                rowmap.setdefault((out_mono, f), {})[j] = coeff
     keys = sorted(rowmap, key=lambda mk: (monomial_key(mk[0]), mk[1]), reverse=True)
     return [rowmap[k] for k in keys]
 
 
-def _integer_parts(X: Field) -> List[Field]:
-    """[d*X_0, d*X_1, ...]: X split by the power of k, d the lcm of all its denominators.
+def assemble_system(fields: Sequence[Field], m: int) -> LinearSystem:
+    """Linear system whose kernel is {degree-m homogeneous first integrals of every field}.
 
-    A rational coefficient is its own k^0 part, so at a fixed k this is [d*X].
-    """
-    split = [[(mono, c.coeffs if isinstance(c, KPoly) else (c,)) for mono, c in comp.terms.items()]
-             for comp in X]
-    d = lcm(*(c.denominator for comp in split for _, cs in comp for c in cs))
-    nparts = max(len(cs) for comp in split for _, cs in comp)
-    return [
-        tuple(MultiPoly(len(X), {mono: int(cs[p] * d) for mono, cs in comp if p < len(cs)})
-              for comp in split)
-        for p in range(nparts)
-    ]
-
-
-def assemble_system(X: Field, m: int) -> LinearSystem:
-    """Linear system whose kernel is {degree-m homogeneous first integrals}.
-
-    It is assembled from the integer parts d*X_p of X, one Lie derivative per
-    part and ansatz monomial: each row is d times the k^p row of X's system,
-    so it has the same primitive integer row.
+    The parts X_0 and X_f - X_0 have the common kernel of the fields, and
+    X_f - X_0 keeps only the terms that differ, so its rows fill in less
+    under elimination.  Scaled by d, the lcm of their denominators, each
+    part gives one Lie derivative per ansatz monomial: each row is d times
+    a row of that part's system, so it has the same primitive integer row.
     """
     if m < 1:
         raise ValueError("ansatz degree must be >= 1")
-    basis = enumerate_monomials(len(X), m)
-    parts = _integer_parts(X)
+    X0 = fields[0]
+    basis = enumerate_monomials(len(X0), m)
+    parts = [X0] + [tuple(b - a for a, b in zip(X0, X)) for X in fields[1:]]
+    d = lcm(*(c.denominator for X in parts for comp in X for c in comp.terms.values()))
+    parts = [tuple(comp.map_coefficients(lambda c: int(c * d)) for comp in X) for X in parts]
     # A generator, so each column's images are dropped once its rows are read.
-    rows = _rows(
-        [lie_derivative(part, MultiPoly(len(X), {mono: 1})) for part in parts] for mono in basis
-    )
+    rows = _rows([lie_derivative(X, MultiPoly(len(X0), {mono: 1})) for X in parts]
+                 for mono in basis)
     return LinearSystem(tuple(basis), rows)
 
 
@@ -125,15 +113,16 @@ def _vector_to_poly(vec: Sequence[Fraction], columns: Sequence[Monomial]) -> Mul
     return poly
 
 
-def kernel_basis(X: Field, m: int) -> List[MultiPoly]:
-    """Canonical degree-m first-integral basis over the rationals, with a
-    post-hoc soundness re-check."""
-    system = assemble_system(X, m)
+def kernel_basis(fields: Sequence[Field], m: int) -> List[MultiPoly]:
+    """Canonical basis of the degree-m first integrals common to every field,
+    over the rationals, with a post-hoc soundness re-check against each field."""
+    system = assemble_system(fields, m)
     vectors, _rank = sparse_kernel_basis(system.rows, system.ncols)
     basis = [_vector_to_poly(v, system.columns) for v in vectors]
     for poly in basis:
-        if lie_derivative(X, poly):
-            raise SoundnessError("kernel polynomial fails annihilation re-check: %s" % poly)
+        for X in fields:
+            if lie_derivative(X, poly):
+                raise SoundnessError("kernel polynomial fails annihilation re-check: %s" % poly)
     return basis
 
 
@@ -165,10 +154,10 @@ def degree_sweep(model: BianchiModel, m_max: int) -> dict:
     """find's payload: kernel dimensions and bases for degrees 1..m_max, against expectations."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    X = build_bianchi(model)
+    fields = [build_bianchi(model.tag, k) for k in model.ks]
     degrees, expected, passed = [], [], True
     for m in range(1, m_max + 1):
-        basis = [p.to_text() for p in kernel_basis(X, m)]
+        basis = [p.to_text() for p in kernel_basis(fields, m)]
         exp_dim = expected_dimension(model.tag, m)
         exp_basis = expected_basis(model.tag, m)
         passed = passed and len(basis) == exp_dim and (
@@ -178,7 +167,7 @@ def degree_sweep(model: BianchiModel, m_max: int) -> dict:
     return {
         "model": model.tag,
         "k": model.k_text(),
-        "mode": "symbolic-k" if model.symbolic else "fixed-k",
+        "mode": "symbolic-k" if model.k is None else "fixed-k",
         "degrees": degrees,
         "expected": expected,
         "pass": passed,
@@ -258,7 +247,7 @@ def _transport_images(linear: MultiPoly, k: Fraction, monos: List[Monomial]) -> 
     d, the lcm of the denominators of (k-1)/4 and of linear, makes the images
     integral.  The kernel stays the same if every other column is scaled by d.
     """
-    c = K_MINUS_1_OVER_4(Fraction(k))
+    c = K_MINUS_1_OVER_4(k)
     d = lcm(c.denominator, *(v.denominator for v in linear.terms.values()))
     linear = linear.map_coefficients(lambda v: int(d * v))
     transport = (int(d * c) * _f123(),) * 3

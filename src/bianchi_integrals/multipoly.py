@@ -1,4 +1,4 @@
-"""Sparse exact multivariate polynomials over Fraction, int or KPoly coefficients.
+"""Sparse exact multivariate polynomials over Fraction or int coefficients.
 
 Monomials are exponent tuples of fixed length (one entry per state
 variable).  The canonical term order is graded lexicographic with
@@ -7,7 +7,8 @@ hashing and report output are deterministic.
 
 ``MultiPoly(n)`` is the zero polynomial in n variables, ``MultiPoly(n,
 {mono: c})`` the term c*x^mono, and a polynomial is false exactly when it
-is zero.
+is zero.  ``to_text`` also prints KPoly coefficients, as "(c0 + c1*k)":
+that is how a polynomial at symbolic k is shown.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class MultiPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
             return self.nvars == other.nvars and self.terms == other.terms
-        if isinstance(other, (int, Fraction, KPoly)):
+        if isinstance(other, (int, Fraction)):
             return self == MultiPoly.constant(self.nvars, other)
         return NotImplemented
 
@@ -96,7 +97,7 @@ class MultiPoly:
             if other.nvars != self.nvars:
                 raise ValueError("variable count mismatch: %d vs %d" % (self.nvars, other.nvars))
             return other
-        if isinstance(other, (int, Fraction, KPoly)):
+        if isinstance(other, (int, Fraction)):
             return MultiPoly.constant(self.nvars, other)
         return None
 

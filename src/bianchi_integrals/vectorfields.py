@@ -1,8 +1,12 @@
 """Bianchi class A vector fields, Lie derivatives and integral verification.
 
 A model is its tag and k: the tag fixes the sign pattern (n1, n2, n3),
-and k is a fixed rational or None for symbolic k (KPoly coefficients).
-A vector field on Q^n is the tuple of its n MultiPoly components.
+and k is a fixed rational or None for symbolic k.  A vector field on Q^n
+is the tuple of its n MultiPoly components, built at one rational k.
+
+Symbolic k is the model at the two k of SYMBOLIC_K.  k enters X only
+through (k-1)/4, so for any P the image X(P) is affine in k, and X(P) = 0
+for every k exactly when it is 0 at k = 0 and at k = 1/2.
 """
 
 from __future__ import annotations
@@ -10,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from .coefficients import K_MINUS_1_OVER_2, K_MINUS_1_OVER_4, KPoly
+from .coefficients import K_MINUS_1_OVER_2, K_MINUS_1_OVER_4, SYMBOLIC_K, KPoly
 from .multipoly import Monomial, MultiPoly
 
 NVARS = 6
@@ -52,8 +56,9 @@ class BianchiModel:
         return BIANCHI_TABLE[self.tag]
 
     @property
-    def symbolic(self) -> bool:
-        return self.k is None
+    def ks(self) -> Tuple[Fraction, ...]:
+        """The k the model is built at: its own, or SYMBOLIC_K."""
+        return SYMBOLIC_K if self.k is None else (self.k,)
 
     def k_text(self) -> str:
         return "symbolic" if self.k is None else str(self.k)
@@ -77,30 +82,36 @@ def build_F(n1: int, n2: int, n3: int) -> MultiPoly:
     )
 
 
-def build_bianchi(model: BianchiModel) -> Field:
-    """The quadratic system for the given model.
-
-    Fixed-k mode yields Fraction or int coefficients; symbolic mode coerces
-    every coefficient to KPoly so identities are checked in Q[k].
-    """
-    n1, n2, n3 = model.n
+def build_bianchi(tag: str, k: Fraction) -> Field:
+    """The quadratic system of model tag at the rational k, with Fraction or int coefficients."""
+    n1, n2, n3 = BIANCHI_TABLE[tag]
     x = [MultiPoly.variable(NVARS, i) for i in range(NVARS)]
     F = build_F(n1, n2, n3)
-    cf = K_MINUS_1_OVER_4 if model.symbolic else K_MINUS_1_OVER_4(model.k)
-    comps = [
+    cf = K_MINUS_1_OVER_4(k)
+    return (
         x[0] * (-x[3] + x[4] + x[5]),
         x[1] * (x[3] - x[4] + x[5]),
         x[2] * (x[3] + x[4] - x[5]),
         n1 * x[0] * (n1 * x[0] - n2 * x[1] - n3 * x[2]) + cf * F,
         n2 * x[1] * (-n1 * x[0] + n2 * x[1] - n3 * x[2]) + cf * F,
         n3 * x[2] * (-n1 * x[0] - n2 * x[1] + n3 * x[2]) + cf * F,
-    ]
-    if model.symbolic:
-        comps = [
-            c.map_coefficients(lambda v: v if isinstance(v, KPoly) else KPoly.constant(v))
-            for c in comps
-        ]
-    return tuple(comps)
+    )
+
+
+def text_at(values: Sequence[MultiPoly]) -> str:
+    """The text of a polynomial from its values at a model's ks: one value prints as
+    it is, and v(0), v(1/2) print with the coefficients c0 + c1*k of k_parts."""
+    if len(values) == 1:
+        return values[0].to_text()
+    c0, c1 = k_parts(*values)
+    return MultiPoly(c0.nvars, {m: KPoly((c0.terms.get(m, 0), c1.terms.get(m, 0)))
+                                for m in c0.terms.keys() | c1.terms.keys()}).to_text()
+
+
+def k_parts(at_0: MultiPoly, at_half: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
+    """The k^0 and k^1 parts c0 = v(0), c1 = 2(v(1/2) - v(0)) of a polynomial v
+    affine in k, from its values at SYMBOLIC_K."""
+    return at_0, 2 * (at_half - at_0)
 
 
 def lie_derivative(X: Field, p: MultiPoly) -> MultiPoly:
@@ -141,9 +152,9 @@ def divide_by_variable(p: MultiPoly, var_index: int) -> MultiPoly:
     return MultiPoly(p.nvars, out)
 
 
-def verify_weighted_power_integral(X: Field, model: BianchiModel):
+def verify_weighted_power_integral(X: Field, tag: str, k: Fraction):
     """Exact check that the energy integral (x1 x2 x3)^w * F, w = (k-1)/2, is
-    a first integral of X.
+    a first integral of X, the field of model tag at k.
 
     Dividing the transcendental prefactor out of dG/dt = 0 leaves the
     polynomial identity
@@ -152,10 +163,12 @@ def verify_weighted_power_integral(X: Field, model: BianchiModel):
 
     which is returned together with its left-hand side as witness.  Each
     X_i, i <= 3, must be exactly divisible by x_i; failure raises
-    DivisibilityError rather than reporting False.
+    DivisibilityError rather than reporting False.  X_1..X_3 do not depend
+    on k, and w and X_4..X_6 are affine in k, so the residual is affine in
+    k: if it is zero at both k of SYMBOLIC_K, it is zero in Q[k].
     """
-    F = build_F(*model.n)
-    w = K_MINUS_1_OVER_2 if model.symbolic else K_MINUS_1_OVER_2(model.k)
+    F = build_F(*BIANCHI_TABLE[tag])
+    w = K_MINUS_1_OVER_2(k)
     residual = lie_derivative(X, F)
     for i in range(3):
         residual += (F * divide_by_variable(X[i], i)) * w

@@ -10,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from bianchi_integrals.engine import assemble_system
 from bianchi_integrals.multipoly import MultiPoly
 from bianchi_integrals.nullspace import sparse_kernel_basis
+from bianchi_integrals.vectorfields import BianchiModel, build_bianchi
 
 
 @pytest.fixture
@@ -43,9 +44,14 @@ def homogeneous_parts(p):
     return {d: MultiPoly(p.nvars, terms) for d, terms in parts.items()}
 
 
-def kernel_vectors(X, m):
+def model_fields(tag, k):
+    """The fields a model is built at: one at a fixed k, two at symbolic k (None)."""
+    return [build_bianchi(tag, s) for s in BianchiModel(tag, k).ks]
+
+
+def kernel_vectors(fields, m):
     """The canonical degree-m kernel vectors that engine.kernel_basis turns into polynomials."""
-    system = assemble_system(X, m)
+    system = assemble_system(fields, m)
     return [list(v) for v in sparse_kernel_basis(system.rows, system.ncols)[0]]
 
 

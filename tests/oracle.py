@@ -13,12 +13,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from bianchi_integrals.coefficients import KPoly
 from bianchi_integrals.engine import enumerate_monomials
 from bianchi_integrals.multipoly import MultiPoly, monomial_key
 
 FD_STEP = 1e-6
 SINGULAR_VALUE_TOL = 1e-6
+
+# The k whose stacked systems stand for symbolic k here: four, so that the
+# oracle does not rest on the two k the package itself stacks.
+SYMBOLIC_SAMPLES = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10))
 
 
 def product_rule_image(X, p):
@@ -78,33 +81,22 @@ def dense_kernel(matrix, ncols):
     return basis
 
 
-def k_powers(coeff):
-    """Coefficients of k^0, k^1, ... of a rational or KPoly coefficient."""
-    return coeff.coeffs if isinstance(coeff, KPoly) else (coeff,)
-
-
-def annihilation_matrix(X, m):
-    """Dense matrix of the degree-m annihilation condition, assembled
-    directly from the product-rule images of the ansatz monomials: one row
-    per output monomial and power of k, so that a symbolic-k kernel holds
-    for every k."""
-    columns = enumerate_monomials(len(X), m)
-    images = [product_rule_image(X, MultiPoly(len(X), {mono: 1})) for mono in columns]
-    split = [{mono: k_powers(c) for mono, c in img.terms.items()} for img in images]
-    out_keys = sorted(
-        {(mono, power) for img in split for mono, cs in img.items() for power in range(len(cs))},
-        key=lambda mk: (monomial_key(mk[0]), mk[1]), reverse=True,
-    )
+def annihilation_matrix(fields, m):
+    """Dense matrix of the degree-m annihilation condition of every field at
+    once, assembled directly from the product-rule images of the ansatz
+    monomials: one row per field and output monomial."""
+    columns = enumerate_monomials(len(fields[0]), m)
     matrix = []
-    for mono, power in out_keys:
-        cs_of = [img.get(mono, ()) for img in split]
-        matrix.append([Fraction(cs[power]) if power < len(cs) else Fraction(0) for cs in cs_of])
+    for X in fields:
+        images = [product_rule_image(X, MultiPoly(len(X), {mono: 1})) for mono in columns]
+        outs = sorted({mono for img in images for mono in img.terms}, key=monomial_key, reverse=True)
+        matrix += [[Fraction(img.terms.get(mono, 0)) for img in images] for mono in outs]
     return matrix, columns
 
 
-def kernel_oracle(X, m):
+def kernel_oracle(fields, m):
     """Kernel basis and dimension via the naive dense path."""
-    matrix, columns = annihilation_matrix(X, m)
+    matrix, columns = annihilation_matrix(fields, m)
     if not matrix:
         n = len(columns)
         return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)], columns

@@ -369,6 +369,30 @@ class TestUsageErrors:
         assert err.count("error:") == 1 and "o.drift.json" in err.splitlines()[-1]
         assert "Traceback" not in err
 
+    def test_an_unopenable_sidecar_leaves_the_old_csv_as_it_was(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def integrate(*args):
+            raise AssertionError("integrated before the drift sidecar was opened")
+
+        monkeypatch.setattr(dynamics, "integrate", integrate)
+        (tmp_path / "o.csv").write_bytes(b"precious\n")
+        (tmp_path / "o.drift.json").mkdir()
+        code, out, _ = run(capsys, ["simulate", "--model", "IX", "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert out == ""
+        assert (tmp_path / "o.csv").read_bytes() == b"precious\n"
+
+    def test_rewriting_a_longer_old_output_leaves_only_the_new_text(self, capsys, tmp_path):
+        path = tmp_path / "o.csv"
+        argv = ["simulate", "--model", "IX", "--t-end", "0.01", "--out", str(path)]
+        assert run(capsys, argv)[0] == 0
+        fresh = path.read_bytes(), (tmp_path / "o.drift.json").read_bytes()
+        for p in (path, tmp_path / "o.drift.json"):
+            p.write_bytes(b"x" * 100000)
+        assert run(capsys, argv)[0] == 0
+        assert (path.read_bytes(), (tmp_path / "o.drift.json").read_bytes()) == fresh
+
     @pytest.mark.parametrize(
         "argv, usage",
         [

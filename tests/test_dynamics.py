@@ -50,7 +50,7 @@ class TestRhs:
         )
         for tag in MODEL_TAGS:
             for k in (Fraction(0), Fraction(1, 2), Fraction(9, 10)):
-                X = build_bianchi(BianchiModel(tag, k))
+                X = build_bianchi(tag, k)
                 for point in points:
                     exact = [float(c.evaluate(point)) for c in X]
                     x = np.array([float(v) for v in point])
@@ -62,7 +62,7 @@ class TestRhs:
         # Each coefficient is c(k) = c0 + c1*k exactly, with c0 = c(0) and
         # c1 = 2*(c(1/2) - c(0)).  C holds float(c1)*k + float(c0), which can
         # differ from float(c(k)) in the last bit; simulate's CSV depends on it.
-        at_0, at_half = (build_bianchi(BianchiModel(tag, k)) for k in (Fraction(0), Fraction(1, 2)))
+        at_0, at_half = (build_bianchi(tag, k) for k in (Fraction(0), Fraction(1, 2)))
         for k in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(4, 7),
                   Fraction(2, 3), Fraction(9, 10)):
             C = coefficient_matrix(tag, float(k))

@@ -28,7 +28,7 @@ from bianchi_integrals.vectorfields import (
 )
 
 import oracle
-from conftest import kernel_vectors
+from conftest import kernel_vectors, model_fields
 
 K_SAMPLES = (Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10))
 
@@ -57,35 +57,36 @@ class TestEnumerateMonomials:
 
 class TestAssembleSystem:
     def test_shape_small(self):
-        X = build_bianchi(BianchiModel("IX", Fraction(1, 2)))
-        system = assemble_system(X, 1)
+        fields = model_fields("IX", Fraction(1, 2))
+        system = assemble_system(fields, 1)
         assert system.ncols == 6
-        rows, keys = _k_power_rows(X, system.columns)
-        assert all(sum(mono) == 2 and power == 0 for mono, power in keys)
+        rows, keys = _part_rows(fields, system.columns)
+        assert all(sum(mono) == 2 and f == 0 for mono, f in keys)
         assert _row_multiples(system.rows, rows) == {8}  # d clears (1/2 - 1)/4
 
-    def test_symbolic_mode_adds_k_power_rows(self):
-        X = build_bianchi(BianchiModel("IX", None))
-        system = assemble_system(X, 1)
-        # The rows are 4 times the k^0 and k^1 rows of X's own system.
-        rows, keys = _k_power_rows(X, system.columns)
-        assert {power for _, power in keys} == {0, 1}
-        assert _row_multiples(system.rows, rows) == {4}
+    def test_symbolic_model_stacks_the_field_at_0_and_the_difference(self):
+        fields = model_fields("IX", None)
+        system = assemble_system(fields, 1)
+        # The rows are 8 times those of X(0) and of X(1/2) - X(0), which is
+        # (1/8) F in components 4 to 6 and has fewer rows than X(1/2).
+        rows, keys = _part_rows(fields, system.columns)
+        assert {f for _, f in keys} == {0, 1}
+        assert _row_multiples(system.rows, rows) == {8}
+        assert len(_part_rows(fields[1:], system.columns)[0]) > sum(f for _, f in keys)
         assert all(type(v) is int for row in system.rows for v in row.values())
 
     def test_rejects_degree_zero(self):
-        X = build_bianchi(BianchiModel("I", Fraction(1, 2)))
         with pytest.raises(ValueError):
-            assemble_system(X, 0)
+            assemble_system(model_fields("I", Fraction(1, 2)), 0)
 
     @pytest.mark.parametrize("tag", ["VIII", "IX"])
     def test_blocks_are_the_parity_classes_of_the_x1_x3_degree(self, tag):
         # The sign flip of (x1, x2, x3) is a symmetry of X, so every
         # connected block lies in one parity class of the x1+x2+x3 degree;
         # from m = 2 on each class is connected.
-        X = build_bianchi(BianchiModel(tag, Fraction(1, 2)))
+        X = build_bianchi(tag, Fraction(1, 2))
         for m in range(1, 7):
-            system = assemble_system(X, m)
+            system = assemble_system([X], m)
             blocks = sorted(sorted(cols) for cols, _ in _blocks(system.rows, system.ncols))
             classes = {}
             for j, mono in enumerate(system.columns):
@@ -97,14 +98,15 @@ class TestAssembleSystem:
         assert sorted(map(len, blocks)) == [226, 236]
 
 
-def _k_power_rows(X, columns):
-    """Rows of X's own system: its Lie derivative images, split by k-power."""
+def _part_rows(fields, columns):
+    """Rows of the systems of X_0 and each X_f - X_0: their Lie derivative
+    images, keyed by part index."""
+    parts = fields[:1] + [tuple(b - a for a, b in zip(fields[0], X)) for X in fields[1:]]
     rowmap = {}
     for j, mono in enumerate(columns):
-        for out, c in lie_derivative(X, MultiPoly(6, {mono: 1})).terms.items():
-            for power, v in enumerate(oracle.k_powers(c)):
-                if v:
-                    rowmap.setdefault((out, power), {})[j] = v
+        for f, X in enumerate(parts):
+            for out, c in lie_derivative(X, MultiPoly(6, {mono: 1})).terms.items():
+                rowmap.setdefault((out, f), {})[j] = c
     keys = sorted(rowmap, key=lambda mk: (monomial_key(mk[0]), mk[1]), reverse=True)
     return [rowmap[key] for key in keys], keys
 
@@ -116,18 +118,18 @@ def _row_multiples(int_rows, rows):
 
 
 class TestIntegerAssembly:
-    """The system is assembled from the integer parts d*X_p in integer arithmetic."""
+    """The system is assembled from the parts d*X_0, d*(X_f - X_0) in integer arithmetic."""
 
     @pytest.mark.parametrize("tag", sorted(BIANCHI_TABLE))
     @pytest.mark.parametrize("k", [Fraction(1, 2), Fraction(3, 7), Fraction(0), None])
     def test_integer_rows_with_the_kernel_of_the_rational_rows(self, tag, k):
-        X = build_bianchi(BianchiModel(tag, k))
+        fields = model_fields(tag, k)
         for m in (1, 2, 3, 4):
-            system = assemble_system(X, m)
+            system = assemble_system(fields, m)
             assert all(type(v) is int for row in system.rows for v in row.values())
-            # The rows of X itself, in the same row order: each integer row
-            # is one common positive multiple d of its row.
-            rows, _ = _k_power_rows(X, system.columns)
+            # The rows of the parts themselves, in the same row order: each
+            # integer row is one common positive multiple d of its row.
+            rows, _ = _part_rows(fields, system.columns)
             assert any(v.denominator > 1 for row in rows for v in row.values())
             ratios = _row_multiples(system.rows, rows)
             assert len(ratios) == 1 and ratios.pop() > 0
@@ -136,28 +138,17 @@ class TestIntegerAssembly:
                 dense = [[row.get(c, 0) for c in range(system.ncols)] for row in rows]
                 assert [list(v) for v in basis] == oracle.dense_kernel(dense, system.ncols)
 
-    def test_one_part_per_power_of_k(self):
-        fixed = build_bianchi(BianchiModel("IX", Fraction(1, 2)))
-        assert len(engine._integer_parts(fixed)) == 1
-        # 4X = 4X_0 + k*4X_1, and k enters only X_4..X_6 through (k-1)/4.
-        X = build_bianchi(BianchiModel("IX", None))
-        parts = engine._integer_parts(X)
-        assert len(parts) == 2
-        for comp, part0, part1 in zip(X, parts[0], parts[1]):
-            assert part0 == comp.map_coefficients(lambda c: 4 * c(0))
-            assert part1 == comp.map_coefficients(lambda c: 4 * (c(1) - c(0)))
-
 
 class TestSymbolicKernelIsStackedKernel:
-    """k enters X linearly, so the rows at k = 0 and k = 1/2 span the k^0 and k^1 rows."""
+    """k enters X affinely, so the rows at any two distinct k span the same
+    space as those at the two k of SYMBOLIC_K."""
 
     @pytest.mark.parametrize("tag", sorted(BIANCHI_TABLE))
-    def test_symbolic_kernel_equals_the_kernel_at_k_0_and_one_half_stacked(self, tag):
-        symbolic, at_0, at_half = (build_bianchi(BianchiModel(tag, k))
-                                   for k in (None, Fraction(0), Fraction(1, 2)))
+    def test_symbolic_kernel_equals_the_kernel_at_one_third_and_nine_tenths_stacked(self, tag):
+        at_third, at_nine_tenths = (build_bianchi(tag, k) for k in (Fraction(1, 3), Fraction(9, 10)))
         for m in range(1, 5):
-            system = assemble_system(symbolic, m)
-            stacked = assemble_system(at_0, m).rows + assemble_system(at_half, m).rows
+            system = assemble_system(model_fields(tag, None), m)
+            stacked = assemble_system([at_third], m).rows + assemble_system([at_nine_tenths], m).rows
             assert (sparse_kernel_basis(stacked, system.ncols)
                     == sparse_kernel_basis(system.rows, system.ncols))
 
@@ -168,66 +159,66 @@ class TestKernelVsOracle:
     @pytest.mark.parametrize("tag", sorted(BIANCHI_TABLE))
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_same_kernel_subspace(self, tag, m):
-        X = build_bianchi(BianchiModel(tag, Fraction(1, 2)))
-        oracle_vectors, columns = oracle.kernel_oracle(X, m)
-        assert columns == list(assemble_system(X, m).columns)
+        fields = [build_bianchi(tag, Fraction(1, 2))]
+        oracle_vectors, columns = oracle.kernel_oracle(fields, m)
+        assert columns == list(assemble_system(fields, m).columns)
         # Both give the canonical basis: one vector per free column.
-        assert kernel_vectors(X, m) == oracle_vectors
-        assert kernel_basis(X, m) == [engine._vector_to_poly(v, columns) for v in oracle_vectors]
+        assert kernel_vectors(fields, m) == oracle_vectors
+        assert kernel_basis(fields, m) == [engine._vector_to_poly(v, columns) for v in oracle_vectors]
 
     @pytest.mark.parametrize("tag", sorted(BIANCHI_TABLE))
     def test_symbolic_k_canonical_basis(self, tag):
-        X = build_bianchi(BianchiModel(tag, None))
+        samples = [build_bianchi(tag, k) for k in oracle.SYMBOLIC_SAMPLES]
         for m in (1, 2, 3):
-            oracle_vectors, _ = oracle.kernel_oracle(X, m)
-            assert kernel_vectors(X, m) == oracle_vectors
+            oracle_vectors, _ = oracle.kernel_oracle(samples, m)
+            assert kernel_vectors(model_fields(tag, None), m) == oracle_vectors
 
     def test_k_sample_grid_degree_two(self):
         for tag in ("I", "II", "VIII"):
             for k in K_SAMPLES:
-                X = build_bianchi(BianchiModel(tag, k))
-                oracle_vectors, _ = oracle.kernel_oracle(X, 2)
-                assert oracle.same_subspace(kernel_vectors(X, 2), oracle_vectors)
+                fields = [build_bianchi(tag, k)]
+                oracle_vectors, _ = oracle.kernel_oracle(fields, 2)
+                assert oracle.same_subspace(kernel_vectors(fields, 2), oracle_vectors)
 
 
 class TestKernelContents:
     def test_every_kernel_polynomial_annihilates(self):
         for tag in sorted(BIANCHI_TABLE):
-            X = build_bianchi(BianchiModel(tag, Fraction(2, 3)))
+            X = build_bianchi(tag, Fraction(2, 3))
             for m in (1, 2, 3):
-                for p in kernel_basis(X, m):
+                for p in kernel_basis([X], m):
                     assert not lie_derivative(X, p)
                     assert {sum(mono) for mono in p.terms} == {m}
                     assert p.leading_coefficient() == 1
 
     def test_type_II_powers(self):
         x = [MultiPoly.variable(6, i) for i in range(6)]
-        X = build_bianchi(BianchiModel("II", Fraction(1, 2)))
+        X = build_bianchi("II", Fraction(1, 2))
         for m in range(1, 5):
-            assert kernel_basis(X, m) == [(x[4] - x[5]) ** m]
+            assert kernel_basis([X], m) == [(x[4] - x[5]) ** m]
 
     def test_type_I_dimension_growth(self):
-        X = build_bianchi(BianchiModel("I", Fraction(1, 2)))
-        dims = [len(kernel_basis(X, m)) for m in range(1, 5)]
+        X = build_bianchi("I", Fraction(1, 2))
+        dims = [len(kernel_basis([X], m)) for m in range(1, 5)]
         assert dims == [2, 3, 4, 5]
 
     def test_nonintegrable_models_have_empty_kernels(self):
         for tag in ("VI0", "VII0", "VIII", "IX"):
             for k in K_SAMPLES:
-                X = build_bianchi(BianchiModel(tag, k))
+                X = build_bianchi(tag, k)
                 for m in (1, 2, 3):
-                    assert len(kernel_basis(X, m)) == 0
+                    assert len(kernel_basis([X], m)) == 0
 
     def test_symbolic_mode_matches_fixed_k_for_integrable_models(self):
         for tag in ("I", "II"):
-            Xs = build_bianchi(BianchiModel(tag, None))
+            fields = model_fields(tag, None)
             for m in (1, 2, 3):
-                assert len(kernel_basis(Xs, m)) == expected_dimension(tag, m)
+                assert len(kernel_basis(fields, m)) == expected_dimension(tag, m)
 
     def test_soundness_recheck_path(self, monkeypatch):
         # the re-check runs on every call: silent on a correct kernel ...
-        X = build_bianchi(BianchiModel("II", Fraction(1, 2)))
-        kernel_basis(X, 3)
+        X = build_bianchi("II", Fraction(1, 2))
+        kernel_basis([X], 3)
 
         # ... and raises on a vector that is not in it
         def wrong_kernel(rows, ncols):
@@ -235,7 +226,17 @@ class TestKernelContents:
 
         monkeypatch.setattr(engine, "sparse_kernel_basis", wrong_kernel)
         with pytest.raises(SoundnessError):
-            kernel_basis(X, 3)
+            kernel_basis([X], 3)
+
+    def test_soundness_recheck_reads_every_field(self, monkeypatch):
+        # x4 - x5 annihilates the type I field but not the type IX one.
+        fields = [build_bianchi("I", Fraction(1, 2)), build_bianchi("IX", Fraction(1, 2))]
+        columns = enumerate_monomials(6, 1)
+        x4_minus_x5 = tuple(Fraction({3: 1, 4: -1}.get(j, 0)) for j in range(len(columns)))
+        assert not lie_derivative(fields[0], engine._vector_to_poly(x4_minus_x5, columns))
+        monkeypatch.setattr(engine, "sparse_kernel_basis", lambda rows, ncols: ([x4_minus_x5], 5))
+        with pytest.raises(SoundnessError):
+            kernel_basis(fields, 1)
 
 
 class TestDegreeSweep:

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bianchi_integrals.coefficients import KPoly
-from bianchi_integrals.engine import _integer_parts
+from bianchi_integrals.coefficients import SYMBOLIC_K
 from bianchi_integrals.multipoly import MultiPoly
 from bianchi_integrals.vectorfields import (
     BIANCHI_TABLE,
@@ -14,8 +13,10 @@ from bianchi_integrals.vectorfields import (
     build_F,
     build_bianchi,
     divide_by_variable,
+    k_parts,
     lie_derivative,
     polynomial_integrals,
+    text_at,
     verify_weighted_power_integral,
 )
 
@@ -75,7 +76,7 @@ class TestBianchiModel:
 
 class TestBuildBianchi:
     def test_type_I_tail_components_coincide(self):
-        X = build_bianchi(BianchiModel("I", Fraction(1, 3)))
+        X = build_bianchi("I", Fraction(1, 3))
         cf = (Fraction(1, 3) - 1) / 4
         expected = cf * build_F(0, 0, 0)
         assert X[3] == expected
@@ -83,49 +84,66 @@ class TestBuildBianchi:
         assert X[5] == expected
 
     def test_type_II_x4_minus_x5(self):
-        X = build_bianchi(BianchiModel("II", Fraction(1, 2)))
+        X = build_bianchi("II", Fraction(1, 2))
         assert X[3] - X[4] == X6[0] ** 2
 
     def test_type_IX_component_six(self):
-        X = build_bianchi(BianchiModel("IX", Fraction(1, 2)))
+        X = build_bianchi("IX", Fraction(1, 2))
         cf = (Fraction(1, 2) - 1) / 4
         expected = X6[2] * (-X6[0] - X6[1] + X6[2]) + cf * build_F(1, 1, 1)
         assert X[5] == expected
 
     def test_all_components_homogeneous_degree_two(self):
         for tag in BIANCHI_TABLE:
-            X = build_bianchi(BianchiModel(tag, Fraction(1, 2)))
+            X = build_bianchi(tag, Fraction(1, 2))
             for comp in X:
                 assert {sum(mono) for mono in comp.terms} == {2}
 
     def test_coordinate_hyperplanes_invariant(self):
         # components 1..3 vanish on their own hyperplane: x_i divides X_i
         for tag in BIANCHI_TABLE:
-            X = build_bianchi(BianchiModel(tag, Fraction(2, 3)))
+            X = build_bianchi(tag, Fraction(2, 3))
             for i in range(3):
                 divide_by_variable(X[i], i)
 
-    def test_symbolic_mode_uses_kpoly(self):
-        X = build_bianchi(BianchiModel("IX", None))
-        coeffs = [c for comp in X for c in comp.terms.values()]
-        assert all(isinstance(c, KPoly) for c in coeffs)
-        assert any(len(c.coeffs) - 1 == 1 for c in coeffs)
+
+class TestAffineInK:
+    """Symbolic k is the model at SYMBOLIC_K because the field is affine in k."""
+
+    @pytest.mark.parametrize("tag", sorted(BIANCHI_TABLE))
+    @pytest.mark.parametrize("k", [Fraction(1, 3), Fraction(9, 10)])
+    def test_field_is_its_values_at_0_and_one_half_extended(self, tag, k):
+        at_0, at_half = (build_bianchi(tag, s) for s in SYMBOLIC_K)
+        for comp, v0, vh in zip(build_bianchi(tag, k), at_0, at_half):
+            assert comp == v0 + k * (2 * (vh - v0))
+        assert at_0[:3] == at_half[:3]
+
+    def test_k_parts_and_their_text(self):
+        v0, vh = (build_bianchi("IX", s)[3] for s in SYMBOLIC_K)
+        assert k_parts(v0, vh) == (v0, Fraction(1, 4) * build_F(1, 1, 1))
+        assert text_at([v0, vh]).startswith("(3/4 + 1/4*k)*x1^2 + (-1/2 + -1/2*k)*x1*x2")
+        assert text_at([v0]) == v0.to_text()
+        assert text_at([MultiPoly(6), MultiPoly(6)]) == "0"
+
+    def test_a_float_k_never_reaches_a_build(self):
+        with pytest.raises(TypeError):
+            build_bianchi("IX", 0.5)
 
 
 class TestLieDerivative:
     def test_type_II_linear_integral(self):
-        X = build_bianchi(BianchiModel("II", Fraction(1, 2)))
+        X = build_bianchi("II", Fraction(1, 2))
         assert not lie_derivative(X, X6[4] - X6[5])
 
     def test_type_I_linear_integrals(self):
         for k in (Fraction(0), Fraction(1, 2), Fraction(9, 10)):
-            X = build_bianchi(BianchiModel("I", k))
+            X = build_bianchi("I", k)
             assert not lie_derivative(X, X6[3] - X6[4])
             assert not lie_derivative(X, X6[3] - X6[5])
 
     def test_type_IX_x4_image(self):
         k = Fraction(1, 2)
-        X = build_bianchi(BianchiModel("IX", k))
+        X = build_bianchi("IX", k)
         expected = X6[0] * (X6[0] - X6[1] - X6[2]) + (k - 1) / 4 * build_F(1, 1, 1)
         image = lie_derivative(X, X6[3])
         assert image == expected
@@ -133,7 +151,7 @@ class TestLieDerivative:
 
     def test_homogeneity_preserved(self, rng):
         for tag in BIANCHI_TABLE:
-            X = build_bianchi(BianchiModel(tag, Fraction(1, 2)))
+            X = build_bianchi(tag, Fraction(1, 2))
             for _ in range(10):
                 p = random_poly(rng, 6, max_degree=5)
                 for d, comp in homogeneous_parts(p).items():
@@ -143,7 +161,7 @@ class TestLieDerivative:
     def test_analytic_integral_iff_components_are(self, rng):
         # degree-wise decomposition: the Lie derivative of the whole
         # vanishes iff it vanishes on every homogeneous component
-        X = build_bianchi(BianchiModel("I", Fraction(1, 2)))
+        X = build_bianchi("I", Fraction(1, 2))
         p = (X6[3] - X6[4]) + (X6[3] - X6[5]) ** 2
         assert not lie_derivative(X, p)
         for comp in homogeneous_parts(p).values():
@@ -161,18 +179,18 @@ _fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
 
 @st.composite
 def _field_and_poly(draw):
-    """A Bianchi field (fixed k, symbolic k, or an integer part of either) and a p.
+    """A Bianchi field at a k in {0, 1/9, ..., 8/9}, or 36 times it, and a p.
 
-    p is random terms plus c * g * q, with g one of the model's known
-    integrals (or F), so that many products in X(p) cancel.
+    36 clears the denominator of (k-1)/4, so the scaled field has the int
+    coefficients the engine assembles from.  p is random terms plus
+    c * g * q, with g one of the model's known integrals (or F), so that
+    many products in X(p) cancel.
     """
     tag = draw(st.sampled_from(sorted(BIANCHI_TABLE)))
-    mode = draw(st.sampled_from(["fixed", "symbolic", "integer", "symbolic-integer"]))
-    k = None if mode.startswith("symbolic") else Fraction(draw(st.integers(0, 8)), 9)
-    X = build_bianchi(BianchiModel(tag, k))
-    if mode.endswith("integer"):
-        parts = _integer_parts(X)
-        X = parts[draw(st.integers(0, len(parts) - 1))]
+    k = Fraction(draw(st.integers(0, 8)), 9)
+    X = build_bianchi(tag, k)
+    if draw(st.booleans()):
+        X = tuple(c.map_coefficients(lambda v: int(36 * v)) for c in X)
     monos = st.tuples(*[st.integers(0, 3)] * 6)
     p = MultiPoly(6, draw(st.dictionaries(monos, _fractions, max_size=5)))
     g = draw(st.sampled_from(polynomial_integrals(tag) + (build_F(*BIANCHI_TABLE[tag]),)))
@@ -190,48 +208,44 @@ class TestLieDerivativeProductRule:
         assert all(image.terms.values())  # no zero coefficient is kept
 
     def test_cancellation_to_zero(self):
-        for k in (Fraction(1, 2), None):
-            X = build_bianchi(BianchiModel("I", k))
+        for k in SYMBOLIC_K:
+            X = build_bianchi("I", k)
             p = (X6[3] - X6[4]) ** 3 * (X6[3] - X6[5]) ** 2
             assert not lie_derivative(X, p)
-            assert not lie_derivative(_integer_parts(X)[0], p)
+            assert not lie_derivative(tuple(c.map_coefficients(lambda v: int(8 * v)) for c in X), p)
 
 
 class TestWeightedPowerIntegral:
-    def test_all_models_symbolic(self):
+    def test_all_models_at_both_symbolic_k(self):
         for tag in BIANCHI_TABLE:
-            model = BianchiModel(tag, None)
-            X = build_bianchi(model)
-            ok, witness = verify_weighted_power_integral(X, model)
-            assert ok, "energy integral fails for %s: %s" % (tag, witness)
-            assert not witness
+            for k in SYMBOLIC_K:
+                ok, witness = verify_weighted_power_integral(build_bianchi(tag, k), tag, k)
+                assert ok, "energy integral fails for %s at k = %s: %s" % (tag, k, witness)
+                assert not witness
 
     def test_fixed_k_samples(self):
         for tag in ("II", "IX"):
             for k in (Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)):
-                model = BianchiModel(tag, k)
-                X = build_bianchi(model)
-                ok, _ = verify_weighted_power_integral(X, model)
+                ok, _ = verify_weighted_power_integral(build_bianchi(tag, k), tag, k)
                 assert ok
 
     def test_field_at_another_k_gives_nonzero_witness(self):
-        X = build_bianchi(BianchiModel("IX", Fraction(1, 2)))
-        ok, witness = verify_weighted_power_integral(X, BianchiModel("IX", Fraction(0)))
+        X = build_bianchi("IX", Fraction(1, 2))
+        ok, witness = verify_weighted_power_integral(X, "IX", Fraction(0))
         assert not ok
         assert witness
 
     def test_divisibility_failure_is_an_error_not_false(self):
-        model = BianchiModel("IX", Fraction(1, 2))
-        X = build_bianchi(model)
+        X = build_bianchi("IX", Fraction(1, 2))
         # x2^2 in the first component is not divisible by x1
         bad = (X[0] + X6[1] * X6[1],) + X[1:]
         with pytest.raises(DivisibilityError):
-            verify_weighted_power_integral(bad, model)
+            verify_weighted_power_integral(bad, "IX", Fraction(1, 2))
 
 
 class TestRestrictedField:
     def test_bianchi_II_restriction_keeps_two_linear_integrals(self):
-        X = build_bianchi(BianchiModel("II", Fraction(1, 2)))
+        X = build_bianchi("II", Fraction(1, 2))
         on_x1_zero = [MultiPoly(6)] + X6[1:]
         Xr = tuple(c.evaluate(on_x1_zero) for c in X)
         assert not Xr[0]
