@@ -303,30 +303,17 @@ def lemma_dificil_solve(k: Fraction, n: int) -> Tuple[List[MultiPoly], List[Tupl
 def sn_recursion_check(n: int) -> bool:
     """Exact check of the S_n recursion and its specialization at A1 = -A2.
 
-    S_n = sum_i P^(n-i) Q^(i-1) i a_i, with P = (3A1-A2)(A1+A2) and
-    Q = (3A1+A2)(A1-A2), is linear in the a_i.  So S_n = P S_(n-1) + n Q^(n-1) a_n
-    and S_n(-A2, A2) = n 4^(n-1) A2^(2n-2) a_n are checked one a_i
-    coefficient c_(n,i) = i P^(n-i) Q^(i-1) at a time, in Q[A1, A2].
+    S_n = sum_i c_(n,i) a_i with c_(n,i) = i P^(n-i) Q^(i-1), P = (3A1-A2)(A1+A2)
+    and Q = (3A1+A2)(A1-A2).  c_(n,i) = P c_(n-1,i) for i < n by definition, so
+    S_n = P S_(n-1) + n Q^(n-1) a_n.  If P(-A2, A2) = 0 and Q(-A2, A2) = 4A2^2,
+    then c_(n,i)(-A2, A2) is 0 for i < n and n 4^(n-1) A2^(2n-2) for i = n, so
+    S_n(-A2, A2) = n 4^(n-1) A2^(2n-2) a_n for every n.  The two evaluations are
+    checked in Q[A1, A2], Q's in the form Q(-A2, A2)^(n-1) that the a_n term uses.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     A1, A2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
     P = (3 * A1 - A2) * (A1 + A2)
     Q = (3 * A1 + A2) * (A1 - A2)
-    P_pow, Q_pow = [MultiPoly.constant(2, 1)], [MultiPoly.constant(2, 1)]
-    for _ in range(n - 1):
-        P_pow.append(P_pow[-1] * P)
-        Q_pow.append(Q_pow[-1] * Q)
-
-    def c(m: int, i: int) -> MultiPoly:  # the a_i coefficient of S_m
-        return i * P_pow[m - i] * Q_pow[i - 1]
-
-    for i in range(1, n + 1):
-        if i < n:
-            recursion, at_a1_neg_a2 = P * c(n - 1, i), MultiPoly(2)
-        else:
-            recursion, at_a1_neg_a2 = n * Q ** (n - 1), n * 4 ** (n - 1) * A2 ** (2 * n - 2)
-        c_ni = c(n, i)
-        if c_ni != recursion or c_ni.evaluate((-A2, A2)) != at_a1_neg_a2:
-            return False
-    return True
+    at = (-A2, A2)
+    return not P.evaluate(at) and Q.evaluate(at) ** (n - 1) == 4 ** (n - 1) * A2 ** (2 * n - 2)

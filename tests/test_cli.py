@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bianchi_integrals import dynamics
+from bianchi_integrals import dynamics, nullspace
 from bianchi_integrals.cli import main
 
 
@@ -289,6 +289,22 @@ class TestReport:
         run(capsys, ["report", "--max-degree", "2", "--out", str(a)])
         run(capsys, ["report", "--max-degree", "2", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestBrokenModularCertificate:
+    # A mod-p test that calls every block full rank empties every kernel. Types I
+    # and II have integrals at each degree, so their runs must then exit 2; IX has
+    # none, so its run still passes and the cases stay told apart.
+    @pytest.mark.parametrize("argv, code", [
+        (["find", "--model", "I", "--max-degree", "3"], 2),
+        (["find", "--model", "II", "--max-degree", "3"], 2),
+        (["find", "--model", "II", "--k", "symbolic", "--max-degree", "3"], 2),
+        (["report", "--max-degree", "2"], 2),
+        (["find", "--model", "IX", "--max-degree", "3"], 0),
+    ])
+    def test_cannot_hide_a_kernel(self, capsys, monkeypatch, argv, code):
+        monkeypatch.setattr(nullspace, "_full_rank_mod_p", lambda rows, cols: True)
+        assert run(capsys, argv)[0] == code
 
 
 class TestUsageErrors:

@@ -1,10 +1,11 @@
+import json
 from argparse import Namespace
 from fractions import Fraction
 
 import pytest
 
 from bianchi_integrals import engine
-from bianchi_integrals.cli import _lemma_dificil
+from bianchi_integrals.cli import _lemma_dificil, main
 from bianchi_integrals.engine import (
     _f123,
     lemma_dificil_solve,
@@ -162,10 +163,55 @@ def test_lemma_rows_are_ints(solve, monkeypatch):
     assert seen and all(type(v) is int for row in seen for v in row.values())
 
 
+A1, A2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+P = (3 * A1 - A2) * (A1 + A2)
+Q = (3 * A1 + A2) * (A1 - A2)
+
+
+def sn_coefficient(n, i):
+    """c_(n,i) = i P^(n-i) Q^(i-1), the a_i coefficient of S_n, by repeated multiplication."""
+    c = MultiPoly.constant(2, i)
+    for _ in range(n - i):
+        c = c * P
+    for _ in range(i - 1):
+        c = c * Q
+    return c
+
+
 class TestSnRecursion:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 40])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 40, 129, 100000])
     def test_identity_holds(self, n):
         assert sn_recursion_check(n)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_expanded_coefficients_obey_the_recursion_and_specialization(self, n):
+        # The reference for the two evaluations the check makes: expand every
+        # c_(n,i) and check S_n = P S_(n-1) + n Q^(n-1) a_n and its value at A1 = -A2.
+        at = (-A2, A2)
+        for i in range(1, n):
+            c_ni = sn_coefficient(n, i)
+            assert c_ni == P * sn_coefficient(n - 1, i)
+            assert not c_ni.evaluate(at)
+        c_nn = sn_coefficient(n, n)
+        assert c_nn == n * Q ** (n - 1)
+        assert c_nn.evaluate(at) == n * 4 ** (n - 1) * A2 ** (2 * n - 2)
+
+    @pytest.mark.parametrize("a1_as", [
+        lambda A1, A2: 2 * A1,  # P(-A2, A2) = 7 A2^2 and Q(-A2, A2) = 15 A2^2
+        lambda A1, A2: A1 + Fraction(8, 3) * A2,  # P(-A2, A2) = 32/3 A2^2, Q right
+        lambda A1, A2: A1 + Fraction(4, 3) * A2,  # P right, Q(-A2, A2) = -4/3 A2^2
+    ], ids=["P_and_Q_wrong", "P_wrong", "Q_wrong"])
+    def test_a_wrong_evaluation_fails(self, monkeypatch, capsys, a1_as):
+        class SubstitutedA1(MultiPoly):
+            @classmethod
+            def variable(cls, nvars, index):
+                x = MultiPoly.variable(nvars, index)
+                return a1_as(x, MultiPoly.variable(nvars, 1)) if index == 0 else x
+
+        monkeypatch.setattr(engine, "MultiPoly", SubstitutedA1)
+        assert not sn_recursion_check(5)
+        assert main(["lemma", "sn", "--n", "5"]) == 2
+        assert json.loads(capsys.readouterr().out)["identity_holds"] is False
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
