@@ -19,7 +19,6 @@ from . import dynamics, engine
 from .vectorfields import (
     MODEL_TAGS,
     BianchiModel,
-    build_bianchi,
     lie_derivative,
     polynomial_integrals,
     text_at,
@@ -84,8 +83,8 @@ _parse_k = _checked(
     'a rational k with 0 <= k < 1, or "symbolic"',
 )
 _fixed_k = _checked(Fraction, lambda k: 0 <= k < 1, "a fixed rational k with 0 <= k < 1")
-_k_samples = _checked(_fractions, lambda ks: all(0 <= k < 1 for k in ks),
-                      "comma-separated rationals k with 0 <= k < 1")
+_k_samples = _checked(_fractions, lambda ks: len(set(ks)) == len(ks) and all(0 <= k < 1 for k in ks),
+                      "distinct comma-separated rationals k with 0 <= k < 1")
 _six_rationals = _checked(
     _fractions,
     lambda v: len(v) == 6 and all(math.isfinite(float(x)) for x in v),
@@ -116,13 +115,12 @@ def cmd_catalog(args) -> int:
     models = []
     for tag in MODEL_TAGS:
         model = BianchiModel(tag, args.k)
-        fields = [build_bianchi(tag, k) for k in model.ks]
         models.append(
             {
                 "model": tag,
                 "n": list(model.n),
                 "k": model.k_text(),
-                "components": [text_at(values) for values in zip(*fields)],
+                "components": [text_at(values) for values in zip(*model.fields())],
             }
         )
     if args.format == "text":
@@ -144,14 +142,18 @@ def cmd_find(args) -> int:
     return 0 if payload["pass"] else 2
 
 
+def _energy_residuals(model: BianchiModel, fields) -> list:
+    """The energy integral's residual on each of the model's fields."""
+    return [verify_weighted_power_integral(X, model.tag, k) for X, k in zip(fields, model.ks)]
+
+
 def cmd_verify(args) -> int:
     model = BianchiModel(args.model, args.k)
-    fields = [build_bianchi(model.tag, k) for k in model.ks]
+    fields = model.fields()
     # Each witness is affine in k, so at symbolic k it vanishes in Q[k]
     # exactly when it vanishes at both k the model is built at.
     witnesses = [("(x1*x2*x3)^((k-1)/2) * F", "weighted-power",
-                  [verify_weighted_power_integral(X, model.tag, k)[1]
-                   for X, k in zip(fields, model.ks)])]
+                  _energy_residuals(model, fields))]
     witnesses += [(p.to_text(), "polynomial", [lie_derivative(X, p) for X in fields])
                   for p in polynomial_integrals(model.tag)]
     checks = [{"integral": integral, "kind": kind, "pass": not any(values),
@@ -164,7 +166,6 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     model = BianchiModel(args.model, args.k)
     x0 = args.x0 or _six_rationals(DEFAULT_X0.get(args.model, DEFAULT_X0_GENERIC))
-    cfg = dynamics.IntegratorConfig(t_end=args.t_end, tol=args.tol)
     # Open --out and its sidecar first, so an unwritable path fails before the
     # integration.  Mode "a" truncates neither file until both are open.
     with contextlib.ExitStack() as files:
@@ -176,7 +177,7 @@ def cmd_simulate(args) -> int:
             for fh in (csv, drift):
                 fh.seek(0)
                 fh.truncate()
-        traj = dynamics.integrate(model, [float(v) for v in x0], cfg)
+        traj = dynamics.integrate(model, [float(v) for v in x0], args.t_end, args.tol)
         dynamics.write_trajectory_csv(traj, csv)
         payload = {
             "model": model.tag,
@@ -207,7 +208,7 @@ def _lemma_estrella(args) -> dict:
         "degree": args.degree,
         "hypothesis_holds": hypothesis,
         "dimension": len(basis),
-        "basis": [p.to_text(engine.TAIL_VAR_NAMES) for p in basis],
+        "basis": [p.to_text() for p in basis],
         "pass": not basis or not hypothesis,
     }
 
@@ -218,7 +219,7 @@ def _lemma_dificil(args) -> dict:
     conforms = len(g_basis) == 1 and not g_basis[0] and not any(h_coefficients[0][1:])
     solution = {
         "dimension": len(g_basis),
-        "g_basis": [g.to_text(engine.TAIL_VAR_NAMES) for g in g_basis],
+        "g_basis": [g.to_text() for g in g_basis],
         "h_coefficients": [[str(c) for c in a] for a in h_coefficients],
         "conforms": conforms,
     }
@@ -238,8 +239,7 @@ def cmd_report(args) -> int:
         for k in args.k_samples + [None]:
             model = BianchiModel(tag, k)
             sweep = engine.degree_sweep(model, args.max_degree)
-            hx_ok = all(verify_weighted_power_integral(build_bianchi(tag, k), tag, k)[0]
-                        for k in model.ks)
+            hx_ok = not any(_energy_residuals(model, model.fields()))
             cell = {
                 "model": tag,
                 "statement": STATEMENT_OF_MODEL[tag],

@@ -13,9 +13,8 @@ from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from .coefficients import SYMBOLIC_K
 from .multipoly import MultiPoly
-from .vectorfields import NVARS, BianchiModel, build_bianchi, build_F, k_parts, polynomial_integrals
+from .vectorfields import NVARS, BianchiModel, build_F, k_parts, polynomial_integrals
 
 
 class DomainError(ValueError):
@@ -24,17 +23,6 @@ class DomainError(ValueError):
 
 # Accepted plus rejected steps after which an orbit stops with "max_steps".
 MAX_STEPS = 1_000_000
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    t_end: float = 1.0
-    tol: float = 1e-12  # both the relative and the absolute error tolerance
-
-    def __post_init__(self):
-        for name in ("t_end", "tol"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError("%s must be a finite positive number" % name)
 
 
 @dataclass
@@ -63,7 +51,7 @@ def coefficient_matrix(tag: str, k: float) -> np.ndarray:
     float(c1)*k + float(c0).
     """
     C0, C1 = np.zeros((2, NVARS, len(_PAIRS)))
-    for row, values in enumerate(zip(*(build_bianchi(tag, s) for s in SYMBOLIC_K))):
+    for row, values in enumerate(zip(*BianchiModel(tag, None).fields())):
         for C, part in zip((C0, C1), k_parts(*values)):
             for mono, coeff in part.terms.items():
                 pair = tuple(v for v, e in enumerate(mono) for _ in range(e))
@@ -104,16 +92,18 @@ def _float_k(model: BianchiModel) -> float:
     return float(model.k)
 
 
-def integrate(
-    model: BianchiModel, x0: Sequence[float], cfg: IntegratorConfig = IntegratorConfig()
-) -> Trajectory:
-    """Adaptive RK5(4) orbit from t=0 to cfg.t_end; keeps every accepted step."""
+def integrate(model: BianchiModel, x0: Sequence[float], t_end: float, tol: float) -> Trajectory:
+    """Adaptive RK5(4) orbit from t=0 to t_end, with tol as both the relative
+    and the absolute error tolerance; keeps every accepted step."""
+    for name, value in (("t_end", t_end), ("tol", tol)):
+        if not 0 < value < math.inf:
+            raise ValueError("%s must be a finite positive number" % name)
     C = coefficient_matrix(model.tag, _float_k(model))
     t = 0.0
     y = np.array([float(v) for v in x0])
     ts = [t]
     ys = [y.copy()]
-    h = min(_INITIAL_STEP, cfg.t_end)
+    h = min(_INITIAL_STEP, t_end)
     err_prev = 1.0
     accepted = 0
     rejected = 0
@@ -121,23 +111,23 @@ def integrate(
     # A trial step that overflows is rejected: its err is not <= 1.
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = rhs(C, y)
-        while t < cfg.t_end:
+        while t < t_end:
             if accepted + rejected >= MAX_STEPS:
                 status = "max_steps"
                 break
             # The last step may be as small as what is left of [0, t_end];
             # only a step that stops short of t_end can underflow.
-            if h < 1e-15 * max(1.0, abs(t)) and h < cfg.t_end - t:
+            if h < 1e-15 * max(1.0, abs(t)) and h < t_end - t:
                 status = "step_underflow"
                 break
-            h = min(h, cfg.t_end - t)
+            h = min(h, t_end - t)
             stages = [k1]
             for s in range(1, 7):
                 yi = y + h * sum(a * ki for a, ki in zip(_A[s], stages))
                 stages.append(rhs(C, yi))
             y5 = y + h * sum(b * ki for b, ki in zip(_B5, stages))
             y4 = y + h * sum(b * ki for b, ki in zip(_B4, stages))
-            scale = cfg.tol + cfg.tol * np.maximum(np.abs(y), np.abs(y5))
+            scale = tol + tol * np.maximum(np.abs(y), np.abs(y5))
             err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
             if err <= 1.0:
                 t += h
@@ -235,28 +225,20 @@ def monitor_invariant(traj: Trajectory, inv: Invariant, name: str) -> dict:
     where the invariant is defined and finite.  Domain failures, overflows
     and non-finite values are flagged as a domain violation.
     """
-    violated = False
-    value0 = None
-    drift = None
+    values = []
     for row in traj.x:
         try:
-            v = inv(row)
+            values.append(inv(row))
         except (DomainError, OverflowError):
-            violated = True
-            continue
-        if not math.isfinite(v):
-            violated = True
-            continue
-        if value0 is None:
-            value0 = v
-            drift = 0.0
-        else:
-            drift = max(drift, abs(v - value0) / max(1.0, abs(value0)))
+            values.append(math.nan)
+    finite = [v for v in values if math.isfinite(v)]
+    value0 = finite[0] if finite else None
     return {
         "name": name,
         "initial_value": value0,
-        "max_relative_drift": drift,
-        "domain_violation": violated,
+        "max_relative_drift": max((abs(v - value0) / max(1.0, abs(value0)) for v in finite),
+                                  default=None),
+        "domain_violation": len(finite) < len(values),
     }
 
 

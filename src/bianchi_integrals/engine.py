@@ -24,9 +24,9 @@ from .multipoly import Monomial, MultiPoly, monomial_key
 from .nullspace import PIVOT_RULE, SparseRow, sparse_kernel_basis
 from .vectorfields import (
     BIANCHI_TABLE,
+    NVARS,
     BianchiModel,
     Field,
-    build_bianchi,
     build_F,
     lie_derivative,
     polynomial_integrals,
@@ -154,7 +154,7 @@ def degree_sweep(model: BianchiModel, m_max: int) -> dict:
     """find's payload: kernel dimensions and bases for degrees 1..m_max, against expectations."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    fields = [build_bianchi(model.tag, k) for k in model.ks]
+    fields = model.fields()
     degrees, expected, passed = [], [], True
     for m in range(1, m_max + 1):
         basis = [p.to_text() for p in kernel_basis(fields, m)]
@@ -230,15 +230,11 @@ def independence_rank(tag: str, k: Fraction) -> Tuple[int, int]:
     return sparse_kernel_basis(cleared, len(RANK_POINT))[1], len(rows)
 
 
-# -- Lemma analyzers (three-variable PDEs) ------------------------------------
-
-
-def _f123() -> MultiPoly:
-    """F of type I, x4^2+x5^2+x6^2-2(x4x5+x4x6+x5x6), in the three tail variables."""
-    return MultiPoly(3, {mono[3:]: c for mono, c in build_F(0, 0, 0).terms.items()})
-
-
-TAIL_VAR_NAMES = ("x4", "x5", "x6")
+# -- Lemma analyzers (PDEs in x4, x5, x6) -------------------------------------
+#
+# The PDEs are built in the fields' six-variable ring, and x1..x3 never
+# occur in them: their monomials are (0, 0, 0) + m, and
+# F123 = build_F(0, 0, 0) = x4^2+x5^2+x6^2-2(x4x5+x4x6+x5x6).
 
 
 def _transport_images(linear: MultiPoly, k: Fraction, monos: List[Monomial]) -> Tuple[int, List[MultiPoly]]:
@@ -250,10 +246,10 @@ def _transport_images(linear: MultiPoly, k: Fraction, monos: List[Monomial]) -> 
     c = K_MINUS_1_OVER_4(k)
     d = lcm(c.denominator, *(v.denominator for v in linear.terms.values()))
     linear = linear.map_coefficients(lambda v: int(d * v))
-    transport = (int(d * c) * _f123(),) * 3
+    transport = (MultiPoly(NVARS),) * 3 + (int(d * c) * build_F(0, 0, 0),) * 3
     images = []
     for mono in monos:
-        g = MultiPoly(3, {mono: 1})
+        g = MultiPoly(NVARS, {mono: 1})
         images.append(linear * g + lie_derivative(transport, g))
     return d, images
 
@@ -267,8 +263,8 @@ def lemma_estrella_solve(
     """
     if m < 0:
         raise ValueError("degree must be >= 0")
-    y = [MultiPoly.variable(3, i) for i in range(3)]
-    monos = enumerate_monomials(3, m)
+    y = [MultiPoly.variable(NVARS, i) for i in range(3, 6)]
+    monos = [(0, 0, 0) + g for g in enumerate_monomials(3, m)]
     _, images = _transport_images(a1 * y[0] + a2 * y[1] + a3 * y[2], k, monos)
     vectors, _ = sparse_kernel_basis(_rows(zip(images)), len(images))
     return [_vector_to_poly(v, monos) for v in vectors]
@@ -283,17 +279,17 @@ def lemma_dificil_solve(k: Fraction, n: int) -> Tuple[List[MultiPoly], List[Tupl
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    y = [MultiPoly.variable(3, i) for i in range(3)]
+    y = [MultiPoly.variable(NVARS, i) for i in range(3, 6)]
     u = y[0] - y[1]  # x4 - x5
     v = y[0] - y[2]  # x4 - x6
-    g_monos = enumerate_monomials(3, n - 2)
+    g_monos = [(0, 0, 0) + g for g in enumerate_monomials(3, n - 2)]
     d, images = _transport_images(2 * (y[0] - y[1] + y[2]), k, g_monos)
     for i in range(n + 1):
         h_i = (u ** i) * (v ** (n - i))
-        images.append(d * h_i.partial_derivative(1))
+        images.append(d * h_i.partial_derivative(4))
     vectors, _ = sparse_kernel_basis(_rows(zip(images)), len(images))
     ncols_g = len(g_monos)
-    g_basis = [MultiPoly(3, {m: c for m, c in zip(g_monos, vec[:ncols_g]) if c}) for vec in vectors]
+    g_basis = [MultiPoly(NVARS, dict(zip(g_monos, vec[:ncols_g]))) for vec in vectors]
     return g_basis, [tuple(vec[ncols_g:]) for vec in vectors]
 
 

@@ -84,8 +84,6 @@ class MultiPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
             return self.nvars == other.nvars and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == MultiPoly.constant(self.nvars, other)
         return NotImplemented
 
     __hash__ = None  # mutable dict inside; value identity is by __eq__
@@ -120,9 +118,6 @@ class MultiPoly:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._as_poly(other)
@@ -188,10 +183,10 @@ class MultiPoly:
 
     # -- text form ---------------------------------------------------------
 
-    def to_text(self, var_names: Optional[Sequence[str]] = None) -> str:
+    def to_text(self) -> str:
         if not self.terms:
             return "0"
-        names = list(var_names) if var_names else ["x%d" % (i + 1) for i in range(self.nvars)]
+        names = ["x%d" % (i + 1) for i in range(self.nvars)]
         pieces = []
         for mono, coeff in self.ordered_terms():
             var_part = "*".join(

@@ -63,6 +63,10 @@ class BianchiModel:
     def k_text(self) -> str:
         return "symbolic" if self.k is None else str(self.k)
 
+    def fields(self) -> Tuple[Field, ...]:
+        """The model's field at each of its ks."""
+        return tuple(build_bianchi(self.tag, k) for k in self.ks)
+
 
 # A polynomial vector field on Q^n: component i is the i-th right-hand side.
 Field = Tuple[MultiPoly, ...]
@@ -152,27 +156,26 @@ def divide_by_variable(p: MultiPoly, var_index: int) -> MultiPoly:
     return MultiPoly(p.nvars, out)
 
 
-def verify_weighted_power_integral(X: Field, tag: str, k: Fraction):
-    """Exact check that the energy integral (x1 x2 x3)^w * F, w = (k-1)/2, is
-    a first integral of X, the field of model tag at k.
+def verify_weighted_power_integral(X: Field, tag: str, k: Fraction) -> MultiPoly:
+    """The residual of the energy integral (x1 x2 x3)^w * F, w = (k-1)/2, on X,
+    the field of model tag at k: zero exactly when it is a first integral.
 
     Dividing the transcendental prefactor out of dG/dt = 0 leaves the
     polynomial identity
 
         F * w * sum_{i<=3} (X_i / x_i) + X(F) = 0,
 
-    which is returned together with its left-hand side as witness.  Each
-    X_i, i <= 3, must be exactly divisible by x_i; failure raises
-    DivisibilityError rather than reporting False.  X_1..X_3 do not depend
-    on k, and w and X_4..X_6 are affine in k, so the residual is affine in
-    k: if it is zero at both k of SYMBOLIC_K, it is zero in Q[k].
+    whose left-hand side is returned.  Each X_i, i <= 3, must be exactly
+    divisible by x_i; failure raises DivisibilityError.  X_1..X_3 do not
+    depend on k, and w and X_4..X_6 are affine in k, so the residual is
+    affine in k: if it is zero at both k of SYMBOLIC_K, it is zero in Q[k].
     """
     F = build_F(*BIANCHI_TABLE[tag])
     w = K_MINUS_1_OVER_2(k)
     residual = lie_derivative(X, F)
     for i in range(3):
         residual += (F * divide_by_variable(X[i], i)) * w
-    return not residual, residual
+    return residual
 
 
 def polynomial_integrals(tag: str) -> Tuple[MultiPoly, ...]:

@@ -10,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from bianchi_integrals.engine import assemble_system
 from bianchi_integrals.multipoly import MultiPoly
 from bianchi_integrals.nullspace import sparse_kernel_basis
-from bianchi_integrals.vectorfields import BianchiModel, build_bianchi
+from bianchi_integrals.vectorfields import BianchiModel
 
 
 @pytest.fixture
@@ -46,7 +46,7 @@ def homogeneous_parts(p):
 
 def model_fields(tag, k):
     """The fields a model is built at: one at a fixed k, two at symbolic k (None)."""
-    return [build_bianchi(tag, s) for s in BianchiModel(tag, k).ks]
+    return BianchiModel(tag, k).fields()
 
 
 def kernel_vectors(fields, m):

@@ -343,6 +343,9 @@ class TestUsageErrors:
             ["lemma", "dificil", "--degree", "3"],
             # every start coordinate must convert to a finite float
             ["simulate", "--model", "IX", "--x0", "1,2,3,1,2,1e400"],
+            # a repeated k would be reported twice
+            ["report", "--k-samples", "1/2,1/2"],
+            ["report", "--k-samples", "1/2,0.5"],
         ],
     )
     def test_bad_value_exits_one_with_one_line_message(self, capsys, argv):

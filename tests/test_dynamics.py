@@ -9,7 +9,6 @@ from bianchi_integrals import dynamics
 from bianchi_integrals.dynamics import (
     DomainError,
     coefficient_matrix,
-    IntegratorConfig,
     drift_report,
     energy_invariant,
     integrate,
@@ -80,7 +79,7 @@ class TestRhs:
 class TestIntegrate:
     def test_completes_with_defaults(self):
         model = BianchiModel("IX", Fraction(1, 2))
-        traj = integrate(model, X0_IX)
+        traj = integrate(model, X0_IX, 1.0, 1e-12)
         assert traj.ok
         assert traj.status == "completed"
         assert traj.t[0] == 0.0
@@ -91,15 +90,15 @@ class TestIntegrate:
 
     def test_deterministic(self):
         model = BianchiModel("IX", Fraction(1, 2))
-        t1 = integrate(model, X0_IX)
-        t2 = integrate(model, X0_IX)
+        t1 = integrate(model, X0_IX, 1.0, 1e-12)
+        t2 = integrate(model, X0_IX, 1.0, 1e-12)
         assert np.array_equal(t1.t, t2.t)
         assert np.array_equal(t1.x, t2.x)
 
     def test_max_steps_returns_partial_trajectory(self, monkeypatch):
         monkeypatch.setattr(dynamics, "MAX_STEPS", 10)
         model = BianchiModel("IX", Fraction(1, 2))
-        traj = integrate(model, X0_IX)
+        traj = integrate(model, X0_IX, 1.0, 1e-12)
         assert traj.status == "max_steps"
         assert not traj.ok
         assert traj.t[-1] < 1.0
@@ -108,32 +107,33 @@ class TestIntegrate:
     def test_symbolic_model_requires_explicit_k(self):
         model = BianchiModel("IX", None)
         with pytest.raises(ValueError):
-            integrate(model, X0_IX)
+            integrate(model, X0_IX, 1.0, 1e-12)
 
     def test_config_validation(self):
+        model = BianchiModel("IX", Fraction(1, 2))
         for bad in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                IntegratorConfig(tol=bad)
-            with pytest.raises(ValueError):
-                IntegratorConfig(t_end=bad)
+            with pytest.raises(ValueError, match="tol must be a finite positive number"):
+                integrate(model, X0_IX, 1.0, bad)
+            with pytest.raises(ValueError, match="t_end must be a finite positive number"):
+                integrate(model, X0_IX, bad, 1e-12)
 
     def test_tighter_tolerance_takes_more_steps(self):
         model = BianchiModel("IX", Fraction(1, 2))
-        loose = integrate(model, X0_IX, IntegratorConfig(tol=1e-6))
-        tight = integrate(model, X0_IX, IntegratorConfig(tol=1e-12))
+        loose = integrate(model, X0_IX, 1.0, 1e-6)
+        tight = integrate(model, X0_IX, 1.0, 1e-12)
         assert tight.n_accepted > loose.n_accepted
 
     def test_accuracy_against_tight_reference(self):
         model = BianchiModel("IX", Fraction(1, 2))
-        ref = integrate(model, X0_IX, IntegratorConfig(tol=1e-13))
-        coarse = integrate(model, X0_IX, IntegratorConfig(tol=1e-8))
+        ref = integrate(model, X0_IX, 1.0, 1e-13)
+        coarse = integrate(model, X0_IX, 1.0, 1e-8)
         assert np.allclose(coarse.x[-1], ref.x[-1], rtol=1e-6, atol=1e-6)
 
 
 class TestInvariants:
     def test_linear_drift_model_I(self):
         model = BianchiModel("I", Fraction(1, 2))
-        traj = integrate(model, X0_GENERIC)
+        traj = integrate(model, X0_GENERIC, 1.0, 1e-12)
         assert traj.ok
         report = drift_report(traj, standard_invariants(model))
         for name in ("x4-x5", "x4-x6"):
@@ -143,18 +143,17 @@ class TestInvariants:
 
     def test_linear_drift_model_II(self):
         model = BianchiModel("II", Fraction(1, 2))
-        traj = integrate(model, X0_GENERIC)
+        traj = integrate(model, X0_GENERIC, 1.0, 1e-12)
         report = drift_report(traj, standard_invariants(model))
         assert drift_entry(report, "x5-x6")["max_relative_drift"] < 1e-10
 
     def test_energy_drift_all_models(self):
         # t_end short of 1 because the VIII orbit from this start blows up
         # in finite time near t = 0.585
-        cfg = IntegratorConfig(t_end=0.5)
         for tag in ("I", "II", "VI0", "VII0", "VIII", "IX"):
             model = BianchiModel(tag, Fraction(1, 2))
             x0 = X0_IX if tag == "IX" else X0_GENERIC
-            traj = integrate(model, x0, cfg)
+            traj = integrate(model, x0, 0.5, 1e-12)
             assert traj.ok
             report = drift_report(traj, standard_invariants(model))
             entry = drift_entry(report, "H")
@@ -163,7 +162,7 @@ class TestInvariants:
 
     def test_transcendental_drift_model_I(self):
         model = BianchiModel("I", Fraction(1, 2))
-        traj = integrate(model, X0_GENERIC)
+        traj = integrate(model, X0_GENERIC, 1.0, 1e-12)
         report = drift_report(traj, standard_invariants(model))
         for name in ("trans(x1/x2)", "trans(x2/x3)"):
             entry = drift_entry(report, name)
@@ -186,7 +185,7 @@ class TestInvariants:
     def test_transcendental_on_the_x2_hyperplane_is_flagged_without_warning(self):
         # x2 = 0 is invariant: x1/x2 divides by zero and x2/x3 is 0.
         model = BianchiModel("I", Fraction(1, 2))
-        traj = integrate(model, (1.0, 0.0, 3.0, 1.0, 2.0, 4.0), IntegratorConfig(t_end=0.1))
+        traj = integrate(model, (1.0, 0.0, 3.0, 1.0, 2.0, 4.0), 0.1, 1e-12)
         assert traj.ok and not traj.x[:, 1].any()
         report = drift_report(traj, standard_invariants(model))
         for name in ("trans(x1/x2)", "trans(x2/x3)"):
@@ -198,7 +197,7 @@ class TestInvariants:
 
     def test_monitor_flags_domain_violations_without_crashing(self):
         model = BianchiModel("IX", Fraction(1, 2))
-        traj = integrate(model, X0_IX, IntegratorConfig(t_end=0.1))
+        traj = integrate(model, X0_IX, 0.1, 1e-12)
 
         def bad(x):
             raise DomainError("always out of domain")
@@ -210,7 +209,7 @@ class TestInvariants:
 
     def test_monitor_skips_non_finite(self):
         model = BianchiModel("IX", Fraction(1, 2))
-        traj = integrate(model, X0_IX, IntegratorConfig(t_end=0.05))
+        traj = integrate(model, X0_IX, 0.05, 1e-12)
         calls = {"n": 0}
 
         def flaky(x):
@@ -220,6 +219,43 @@ class TestInvariants:
         entry = monitor_invariant(traj, flaky, "flaky")
         assert entry["domain_violation"]
         assert entry["max_relative_drift"] == 0.0
+
+    @staticmethod
+    def _rows_then(outcomes):
+        """A trajectory of len(outcomes) rows and an invariant that gives, on row i,
+        outcomes[i]: a value, or an exception class that it raises."""
+        n = len(outcomes)
+        traj = dynamics.Trajectory(np.arange(float(n)), np.arange(6.0 * n).reshape(n, 6),
+                                   "completed", n - 1, 0)
+
+        def inv(x):
+            outcome = outcomes[int(x[0]) // 6]
+            if isinstance(outcome, type):
+                raise outcome("row %d" % (int(x[0]) // 6))
+            return outcome
+
+        return traj, inv
+
+    def test_monitor_starts_at_the_first_defined_value_and_takes_the_largest_drift(self):
+        traj, inv = self._rows_then([DomainError, DomainError, -4.0, 1.0, -10.0, -3.0])
+        entry = monitor_invariant(traj, inv, "late")
+        assert entry["initial_value"] == -4.0
+        # |v - v0| / max(1, |v0|) over 1.0, -10.0, -3.0: 5/4, 6/4, 1/4.
+        assert entry["max_relative_drift"] == 1.5
+        assert entry["domain_violation"]
+        # Below |v0| = 1 the drift is absolute.
+        traj, inv = self._rows_then([0.5, 0.25, 0.875])
+        entry = monitor_invariant(traj, inv, "small")
+        assert entry == {"name": "small", "initial_value": 0.5, "max_relative_drift": 0.375,
+                         "domain_violation": False}
+
+    def test_monitor_skips_overflow_and_nan_rows(self):
+        for bad in (OverflowError, math.nan):
+            traj, inv = self._rows_then([2.0, bad, 2.5, bad, 1.75])
+            entry = monitor_invariant(traj, inv, "flagged")
+            assert entry["initial_value"] == 2.0
+            assert entry["max_relative_drift"] == 0.25
+            assert entry["domain_violation"]
 
     def test_standard_invariant_names(self):
         assert list(standard_invariants(BianchiModel("I", Fraction(1, 2)))) == [
@@ -239,7 +275,7 @@ class TestInvariants:
 class TestCsv:
     def test_header_and_precision(self):
         model = BianchiModel("IX", Fraction(1, 2))
-        traj = integrate(model, X0_IX, IntegratorConfig(t_end=0.01))
+        traj = integrate(model, X0_IX, 0.01, 1e-12)
         buf = io.StringIO()
         write_trajectory_csv(traj, buf)
         lines = buf.getvalue().splitlines()

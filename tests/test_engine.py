@@ -101,7 +101,7 @@ class TestAssembleSystem:
 def _part_rows(fields, columns):
     """Rows of the systems of X_0 and each X_f - X_0: their Lie derivative
     images, keyed by part index."""
-    parts = fields[:1] + [tuple(b - a for a, b in zip(fields[0], X)) for X in fields[1:]]
+    parts = [fields[0]] + [tuple(b - a for a, b in zip(fields[0], X)) for X in fields[1:]]
     rowmap = {}
     for j, mono in enumerate(columns):
         for f, X in enumerate(parts):

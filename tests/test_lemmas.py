@@ -7,18 +7,19 @@ import pytest
 from bianchi_integrals import engine
 from bianchi_integrals.cli import _lemma_dificil, main
 from bianchi_integrals.engine import (
-    _f123,
     lemma_dificil_solve,
     lemma_estrella_solve,
     sn_recursion_check,
 )
 from bianchi_integrals.multipoly import MultiPoly
+from bianchi_integrals.vectorfields import build_F
 
 K_SAMPLES = (Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10))
 
 
 def tail_vars():
-    return [MultiPoly.variable(3, i) for i in range(3)]
+    """x4, x5, x6 in the fields' six-variable ring, where the lemmas are built."""
+    return [MultiPoly.variable(6, i) for i in range(3, 6)]
 
 
 class TestEstrella:
@@ -41,7 +42,7 @@ class TestEstrella:
 
     def test_equal_weights_resonance_contains_f123_power(self):
         # a1 = a2 = a3 = m(k-1)/2 at even degree 2m admits F123^m
-        F = _f123()
+        F = build_F(0, 0, 0)
         for k in (Fraction(0), Fraction(1, 2), Fraction(9, 10)):
             for m in (1, 2, 3):
                 a = m * (k - 1) / 2
@@ -65,7 +66,7 @@ class TestEstrella:
 
     def test_solutions_satisfy_pde(self):
         y = tail_vars()
-        F = _f123()
+        F = build_F(0, 0, 0)
         k = Fraction(1, 2)
         m = 2
         a = m * (k - 1) / 2
@@ -74,7 +75,7 @@ class TestEstrella:
         cf = (k - 1) / 4
         for g in basis:
             sigma = sum(
-                (g.partial_derivative(i) for i in range(3)), MultiPoly(3)
+                (g.partial_derivative(i) for i in range(3, 6)), MultiPoly(6)
             )
             assert not (linear * g + cf * (F * sigma))
 
@@ -107,10 +108,10 @@ class TestDificil:
         a = h_coefficients[0]
         h = sum(
             (a[i] * (u ** i) * (v ** (n - i)) for i in range(n + 1)),
-            MultiPoly(3),
+            MultiPoly(6),
         )
         # g = 0, so only the h_x5 term remains and it must vanish
-        assert not h.partial_derivative(1)
+        assert not h.partial_derivative(4)
 
     def test_solutions_with_nonzero_g_satisfy_pde(self):
         # At k = 7/3, outside [0, 1), some solutions have g != 0.  The g
@@ -121,11 +122,11 @@ class TestDificil:
         assert len(g_basis) == 2
         y = tail_vars()
         u, v = y[0] - y[1], y[0] - y[2]
-        F = _f123()
+        F = build_F(0, 0, 0)
         for g, a in zip(g_basis, h_coefficients):
-            h = sum((a[i] * u ** i * v ** (n - i) for i in range(n + 1)), MultiPoly(3))
-            sigma = sum((g.partial_derivative(i) for i in range(3)), MultiPoly(3))
-            lhs = 2 * (y[0] - y[1] + y[2]) * g + (k - 1) / 4 * (F * sigma) + h.partial_derivative(1)
+            h = sum((a[i] * u ** i * v ** (n - i) for i in range(n + 1)), MultiPoly(6))
+            sigma = sum((g.partial_derivative(i) for i in range(3, 6)), MultiPoly(6))
+            lhs = 2 * (y[0] - y[1] + y[2]) * g + (k - 1) / 4 * (F * sigma) + h.partial_derivative(4)
             assert not lhs
         assert any(g_basis)
 
@@ -143,6 +144,19 @@ class TestDificil:
         payload = _lemma_dificil(Namespace(k=Fraction(7, 3), n=4))
         assert payload["solution"]["dimension"] == 2
         assert payload["solution"]["conforms"] is False and payload["pass"] is False
+
+
+@pytest.mark.parametrize("basis", [
+    lambda: lemma_estrella_solve(Fraction(-1), Fraction(-1), Fraction(-1), Fraction(1, 2), 9),
+    lambda: lemma_estrella_solve(Fraction(0), Fraction(0), Fraction(0), Fraction(3, 7), 2),
+    lambda: lemma_dificil_solve(Fraction(7, 3), 4)[0],
+])
+def test_lemma_polynomials_lie_in_x4_x5_x6_of_the_six_variable_ring(basis):
+    polys = basis()
+    assert any(polys)
+    for p in polys:
+        assert p.nvars == 6
+        assert all(mono[:3] == (0, 0, 0) for mono in p.terms)
 
 
 @pytest.mark.parametrize("solve", [
