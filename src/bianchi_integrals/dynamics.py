@@ -13,12 +13,7 @@ from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from .multipoly import MultiPoly
 from .vectorfields import NVARS, BianchiModel, build_F, k_parts, polynomial_integrals
-
-
-class DomainError(ValueError):
-    """An invariant was evaluated outside its domain of definition."""
 
 
 # Accepted plus rejected steps after which an orbit stops with "max_steps".
@@ -149,58 +144,41 @@ def integrate(model: BianchiModel, x0: Sequence[float], t_end: float, tol: float
 # -- Invariants ----------------------------------------------------------------
 
 
+# An invariant maps a state, six Python floats, to its value, or to nan
+# outside its domain.
 Invariant = Callable[[Sequence[float]], float]
-
-
-def poly_invariant(p: MultiPoly) -> Invariant:
-    def fn(x):
-        return float(p.evaluate([float(v) for v in x]))
-
-    return fn
 
 
 def energy_invariant(n: Tuple[int, int, int], k: float) -> Invariant:
     """(x1 x2 x3)^((k-1)/2) * F; defined where x1 x2 x3 > 0."""
-    Ffn = poly_invariant(build_F(*n))
+    F = build_F(*n).evaluate
 
     def fn(x):
         w = x[0] * x[1] * x[2]
-        if w <= 0:
-            raise DomainError("x1*x2*x3 <= 0")
-        return w ** ((k - 1) / 2) * Ffn(x)
+        return w ** ((k - 1) / 2) * F(x) if w > 0 else math.nan
 
     return fn
 
 
-def _delta(x) -> float:
-    x4, x5, x6 = x[3], x[4], x[5]
-    return x4 * x4 + x5 * x5 + x6 * x6 - x4 * x5 - x4 * x6 - x5 * x6
-
-
-def _ratio(x, d: float) -> float:
-    s = x[3] + x[4] + x[5]
-    root = math.sqrt(d)
-    num = s - 2 * root
-    den = s + 2 * root
-    if num <= 0 or den <= 0:
-        raise DomainError("ratio argument not positive")
-    return num / den
-
-
 def transcendental_invariant(k: float, i: int, j: int) -> Invariant:
     """(x_i/x_j)^((1-k)/2) * R^((x_{i+3}-x_{j+3})/sqrt(D)) for the type I
-    system, with 0-based coordinate indices i, j in {0, 1, 2}."""
+    system, with 0-based coordinate indices i, j in {0, 1, 2}.  Here
+    D = x4^2+x5^2+x6^2-x4x5-x4x6-x5x6, s = x4+x5+x6 and
+    R = (s - 2 sqrt(D)) / (s + 2 sqrt(D)); defined where x_i/x_j, D and
+    both s -+ 2 sqrt(D) are positive."""
 
     def fn(x):
-        if x[j] == 0:
-            raise DomainError("x%d = 0" % (j + 1))
-        base = x[i] / x[j]
-        if base <= 0:
-            raise DomainError("x%d/x%d <= 0" % (i + 1, j + 1))
-        d = _delta(x)
-        if d <= 0:
-            raise DomainError("degenerate discriminant")
-        return base ** ((1 - k) / 2) * _ratio(x, d) ** ((x[i + 3] - x[j + 3]) / math.sqrt(d))
+        x4, x5, x6 = x[3:]
+        base = x[i] / x[j] if x[j] else math.nan
+        d = x4 * x4 + x5 * x5 + x6 * x6 - x4 * x5 - x4 * x6 - x5 * x6
+        if not (base > 0 and d > 0):
+            return math.nan
+        root = math.sqrt(d)
+        s = x4 + x5 + x6
+        num, den = s - 2 * root, s + 2 * root
+        if num <= 0 or den <= 0:
+            return math.nan
+        return base ** ((1 - k) / 2) * (num / den) ** ((x[i + 3] - x[j + 3]) / root)
 
     return fn
 
@@ -209,7 +187,7 @@ def standard_invariants(model: BianchiModel) -> Dict[str, Invariant]:
     """The monitored invariants for a model, in report order."""
     k = _float_k(model)
     out: Dict[str, Invariant] = {
-        p.to_text().replace(" ", ""): poly_invariant(p) for p in polynomial_integrals(model.tag)
+        p.to_text().replace(" ", ""): p.evaluate for p in polynomial_integrals(model.tag)
     }
     if model.tag == "I":
         for i, j in ((0, 1), (1, 2)):
@@ -222,14 +200,14 @@ def monitor_invariant(traj: Trajectory, inv: Invariant, name: str) -> dict:
     """Max relative drift of one invariant along the trajectory.
 
     The drift is max |v(t)-v(0)| / max(1, |v(0)|), taken over the points
-    where the invariant is defined and finite.  Domain failures, overflows
-    and non-finite values are flagged as a domain violation.
+    where the invariant is finite.  A nan (outside the domain), an overflow
+    and any other non-finite value are flagged as a domain violation.
     """
     values = []
     for row in traj.x:
         try:
-            values.append(inv(row))
-        except (DomainError, OverflowError):
+            values.append(inv(row.tolist()))
+        except OverflowError:  # a float power out of range
             values.append(math.nan)
     finite = [v for v in values if math.isfinite(v)]
     value0 = finite[0] if finite else None

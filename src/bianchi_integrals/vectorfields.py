@@ -34,10 +34,6 @@ BIANCHI_TABLE = {
 MODEL_TAGS = tuple(BIANCHI_TABLE)
 
 
-class DivisibilityError(ValueError):
-    """A component was expected to be exactly divisible by a coordinate."""
-
-
 @dataclass(frozen=True)
 class BianchiModel:
     """One of the six class A models at a fixed rational k, or symbolic k."""
@@ -144,38 +140,18 @@ def lie_derivative(X: Field, p: MultiPoly) -> MultiPoly:
     return MultiPoly._of(p.nvars, out)
 
 
-def divide_by_variable(p: MultiPoly, var_index: int) -> MultiPoly:
-    """Exact quotient p / x[var_index]; raises DivisibilityError otherwise."""
-    out = {}
-    for mono, coeff in p.terms.items():
-        if mono[var_index] == 0:
-            raise DivisibilityError(
-                "term %r is not divisible by x%d" % (mono, var_index + 1)
-            )
-        out[mono[:var_index] + (mono[var_index] - 1,) + mono[var_index + 1:]] = coeff
-    return MultiPoly(p.nvars, out)
-
-
 def verify_weighted_power_integral(X: Field, tag: str, k: Fraction) -> MultiPoly:
-    """The residual of the energy integral (x1 x2 x3)^w * F, w = (k-1)/2, on X,
-    the field of model tag at k: zero exactly when it is a first integral.
+    """The residual of the energy integral P^w * F, P = x1 x2 x3, w = (k-1)/2,
+    on X, the field of model tag at k: zero exactly when it is a first integral.
 
-    Dividing the transcendental prefactor out of dG/dt = 0 leaves the
-    polynomial identity
-
-        F * w * sum_{i<=3} (X_i / x_i) + X(F) = 0,
-
-    whose left-hand side is returned.  Each X_i, i <= 3, must be exactly
-    divisible by x_i; failure raises DivisibilityError.  X_1..X_3 do not
-    depend on k, and w and X_4..X_6 are affine in k, so the residual is
+    X(P^w * F) = P^(w-1) * (P * X(F) + w * F * X(P)), so the polynomial
+    P * X(F) + w * F * X(P) is returned.  X(P) reads only X_1..X_3, which do
+    not depend on k, and w and X_4..X_6 are affine in k, so the residual is
     affine in k: if it is zero at both k of SYMBOLIC_K, it is zero in Q[k].
     """
     F = build_F(*BIANCHI_TABLE[tag])
-    w = K_MINUS_1_OVER_2(k)
-    residual = lie_derivative(X, F)
-    for i in range(3):
-        residual += (F * divide_by_variable(X[i], i)) * w
-    return residual
+    P = MultiPoly(NVARS, {(1, 1, 1, 0, 0, 0): 1})
+    return P * lie_derivative(X, F) + K_MINUS_1_OVER_2(k) * F * lie_derivative(X, P)
 
 
 def polynomial_integrals(tag: str) -> Tuple[MultiPoly, ...]:

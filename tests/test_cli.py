@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from bianchi_integrals import dynamics, nullspace
+from bianchi_integrals import dynamics, nullspace, vectorfields
 from bianchi_integrals.cli import main
+from bianchi_integrals.multipoly import MultiPoly
 
 
 def run(capsys, argv):
@@ -95,6 +96,21 @@ class TestVerify:
         assert payload["k"] == "2/3"
         assert any(c["integral"] == "x5 - x6" for c in payload["checks"])
 
+    def test_energy_check_fails_on_a_field_without_the_x1_factor(self, capsys, monkeypatch):
+        # X1 = -x4 + x5 + x6 in place of x1 * (-x4 + x5 + x6): the residual is
+        # nonzero, and verify says so instead of raising.
+        build = vectorfields.build_bianchi
+        x = [MultiPoly.variable(6, i) for i in range(6)]
+        monkeypatch.setattr(vectorfields, "build_bianchi",
+                            lambda tag, k: (-x[3] + x[4] + x[5],) + build(tag, k)[1:])
+        code, out, err = run(capsys, ["verify", "--model", "IX"])
+        assert (code, err) == (2, "")
+        payload = json.loads(out)
+        (check,) = payload["checks"]
+        assert check["kind"] == "weighted-power"
+        assert check["pass"] is False and check["witness"] != "0"
+        assert payload["pass"] is False
+
 
 class TestSimulate:
     def test_csv_and_sidecar(self, capsys, tmp_path):
@@ -139,22 +155,25 @@ class TestSimulate:
         assert len(path.read_text().splitlines()) < 1000  # ~131 steps
 
     @pytest.mark.filterwarnings("error")
-    def test_invariant_overflow_is_flagged_not_raised(self, capsys, tmp_path):
+    @pytest.mark.parametrize("argv, code, status, linear", [
         # The start is finite, but H = (x1 x2 x3)^(-1/4) F overflows in F,
         # and so do the trial steps, which the integrator rejects silently.
+        (["--model", "II", "--x0", "1,2,3,1,2,1e200", "--t-end", "0.01"],
+         2, "step_underflow", [("x5-x6", -1e200)]),
+        # (x1 x2 x3)^(-1/2) = 1e150 and F = -7e200 are finite; their product is not.
+        (["--model", "IX", "--k", "0", "--x0", "1e-100,1e-100,1e-100,1e100,2e100,4e100",
+          "--t-end", "1e-250"], 0, "completed", []),
+    ])
+    def test_invariant_overflow_is_flagged_not_raised(self, capsys, tmp_path, argv, code,
+                                                      status, linear):
         path = tmp_path / "orbit.csv"
-        code, _, err = run(
-            capsys,
-            ["simulate", "--model", "II", "--x0", "1,2,3,1,2,1e200",
-             "--t-end", "0.01", "--out", str(path)],
-        )
-        assert code == 2
-        assert err == ""
+        got, _, err = run(capsys, ["simulate", *argv, "--out", str(path)])
+        assert (got, err) == (code, "")
         sidecar = json.loads((tmp_path / "orbit.drift.json").read_text())
-        assert sidecar["drift"]["status"] == "step_underflow"
-        x5_x6, H = sidecar["drift"]["invariants"]
-        assert x5_x6["name"] == "x5-x6" and not x5_x6["domain_violation"]
-        assert x5_x6["initial_value"] == -1e200
+        assert sidecar["drift"]["status"] == status
+        *entries, H = sidecar["drift"]["invariants"]
+        assert [(e["name"], e["initial_value"]) for e in entries] == linear
+        assert not any(e["domain_violation"] for e in entries)
         assert H["name"] == "H" and H["domain_violation"]
         assert H["initial_value"] is None
 
