@@ -98,14 +98,16 @@ def _int_at_least(low: int) -> Callable:
     return _checked(int, lambda n: n >= low, "an integer >= %d" % low)
 
 
-def _emit(payload, out: Optional[str]) -> None:
-    """Write a JSON payload, or a text payload as it is, to out or stdout."""
+def _emit(payload, out: Optional[str]) -> int:
+    """Write a JSON payload, or a text payload as it is, to out or stdout, and
+    return the exit code: 2 if the payload has "pass": false, else 0."""
     text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return 0 if isinstance(payload, str) or payload.get("pass", True) else 2
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -120,7 +122,7 @@ def cmd_catalog(args) -> int:
                 "model": tag,
                 "n": list(model.n),
                 "k": model.k_text(),
-                "components": [text_at(values) for values in zip(*model.fields())],
+                "components": [text_at(values) for values in zip(*model.fields)],
             }
         )
     if args.format == "text":
@@ -129,38 +131,30 @@ def cmd_catalog(args) -> int:
             lines.append("Bianchi %s  (n=%s, k=%s)" % (entry["model"], entry["n"], entry["k"]))
             for i, comp in enumerate(entry["components"]):
                 lines.append("  dx%d/dt = %s" % (i + 1, comp))
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit({"models": models}, args.out)
-    return 0
+        return _emit("\n".join(lines) + "\n", args.out)
+    return _emit({"models": models}, args.out)
 
 
 def cmd_find(args) -> int:
-    model = BianchiModel(args.model, args.k)
-    payload = engine.degree_sweep(model, args.max_degree)
-    _emit(payload, args.out)
-    return 0 if payload["pass"] else 2
+    return _emit(engine.degree_sweep(BianchiModel(args.model, args.k), args.max_degree), args.out)
 
 
-def _energy_residuals(model: BianchiModel, fields) -> list:
+def _energy_residuals(model: BianchiModel) -> list:
     """The energy integral's residual on each of the model's fields."""
-    return [verify_weighted_power_integral(X, model.tag, k) for X, k in zip(fields, model.ks)]
+    return [verify_weighted_power_integral(X, model.tag, k) for X, k in zip(model.fields, model.ks)]
 
 
 def cmd_verify(args) -> int:
     model = BianchiModel(args.model, args.k)
-    fields = model.fields()
     # Each witness is affine in k, so at symbolic k it vanishes in Q[k]
     # exactly when it vanishes at both k the model is built at.
-    witnesses = [("(x1*x2*x3)^((k-1)/2) * F", "weighted-power",
-                  _energy_residuals(model, fields))]
-    witnesses += [(p.to_text(), "polynomial", [lie_derivative(X, p) for X in fields])
+    witnesses = [("(x1*x2*x3)^((k-1)/2) * F", "weighted-power", _energy_residuals(model))]
+    witnesses += [(p.to_text(), "polynomial", [lie_derivative(X, p) for X in model.fields])
                   for p in polynomial_integrals(model.tag)]
     checks = [{"integral": integral, "kind": kind, "pass": not any(values),
                "witness": text_at(values)} for integral, kind, values in witnesses]
-    ok_all = all(check["pass"] for check in checks)
-    _emit({"model": model.tag, "k": model.k_text(), "checks": checks, "pass": ok_all}, args.out)
-    return 0 if ok_all else 2
+    return _emit({"model": model.tag, "k": model.k_text(), "checks": checks,
+                  "pass": all(check["pass"] for check in checks)}, args.out)
 
 
 def cmd_simulate(args) -> int:
@@ -177,7 +171,7 @@ def cmd_simulate(args) -> int:
             for fh in (csv, drift):
                 fh.seek(0)
                 fh.truncate()
-        traj = dynamics.integrate(model, [float(v) for v in x0], args.t_end, args.tol)
+        traj = dynamics.integrate(model, x0, args.t_end, args.tol)
         dynamics.write_trajectory_csv(traj, csv)
         payload = {
             "model": model.tag,
@@ -192,9 +186,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_lemma(args) -> int:
-    payload = args.lemma(args)
-    _emit(payload, args.out)
-    return 0 if payload["pass"] else 2
+    return _emit(args.lemma(args), args.out)
 
 
 def _lemma_estrella(args) -> dict:
@@ -234,12 +226,11 @@ def _lemma_sn(args) -> dict:
 
 def cmd_report(args) -> int:
     cells = []
-    ok_all = True
     for tag in MODEL_TAGS:
         for k in args.k_samples + [None]:
             model = BianchiModel(tag, k)
             sweep = engine.degree_sweep(model, args.max_degree)
-            hx_ok = not any(_energy_residuals(model, model.fields()))
+            hx_ok = not any(_energy_residuals(model))
             cell = {
                 "model": tag,
                 "statement": STATEMENT_OF_MODEL[tag],
@@ -258,15 +249,12 @@ def cmd_report(args) -> int:
                 cell["independence"] = {"rank": rank, "point": list(engine.RANK_POINT)}
                 cell["pass"] = cell["pass"] and rank == count
             cells.append(cell)
-            ok_all &= cell["pass"]
-    payload = {
+    return _emit({
         "m_max": args.max_degree,
         "k_samples": [str(k) for k in args.k_samples],
         "cells": cells,
-        "pass": bool(ok_all),
-    }
-    _emit(payload, args.out)
-    return 0 if ok_all else 2
+        "pass": all(cell["pass"] for cell in cells),
+    }, args.out)
 
 
 # -- entry point ---------------------------------------------------------------
@@ -346,6 +334,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.fn(args)
     except OSError as exc:  # an --out path that cannot be written
         parser.exit(1, "%s: error: %s\n" % (parser.prog, exc))
+    except engine.SoundnessError as exc:  # a kernel vector failed the re-check
+        parser.exit(2, "%s: error: %s\n" % (parser.prog, exc))
 
 
 if __name__ == "__main__":

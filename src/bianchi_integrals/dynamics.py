@@ -46,7 +46,7 @@ def coefficient_matrix(tag: str, k: float) -> np.ndarray:
     float(c1)*k + float(c0).
     """
     C0, C1 = np.zeros((2, NVARS, len(_PAIRS)))
-    for row, values in enumerate(zip(*BianchiModel(tag, None).fields())):
+    for row, values in enumerate(zip(*BianchiModel(tag, None).fields)):
         for C, part in zip((C0, C1), k_parts(*values)):
             for mono, coeff in part.terms.items():
                 pair = tuple(v for v, e in enumerate(mono) for _ in range(e))

@@ -154,10 +154,9 @@ def degree_sweep(model: BianchiModel, m_max: int) -> dict:
     """find's payload: kernel dimensions and bases for degrees 1..m_max, against expectations."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    fields = model.fields()
     degrees, expected, passed = [], [], True
     for m in range(1, m_max + 1):
-        basis = [p.to_text() for p in kernel_basis(fields, m)]
+        basis = [p.to_text() for p in kernel_basis(model.fields, m)]
         exp_dim = expected_dimension(model.tag, m)
         exp_basis = expected_basis(model.tag, m)
         passed = passed and len(basis) == exp_dim and (
@@ -237,21 +236,26 @@ def independence_rank(tag: str, k: Fraction) -> Tuple[int, int]:
 # F123 = build_F(0, 0, 0) = x4^2+x5^2+x6^2-2(x4x5+x4x6+x5x6).
 
 
-def _transport_images(linear: MultiPoly, k: Fraction, monos: List[Monomial]) -> Tuple[int, List[MultiPoly]]:
-    """d and d * (linear * g + (k-1)/4 F123 (g_4 + g_5 + g_6)) for each monomial g.
+def _transport_kernel(linear: MultiPoly, k: Fraction, m: int,
+                      extra: List[MultiPoly]) -> Tuple[List[Monomial], List[Tuple[Fraction, ...]]]:
+    """The degree-m monomials g and the canonical kernel of the columns
+    linear * g + (k-1)/4 F123 (g_4 + g_5 + g_6), one per g, then extra.
 
-    d, the lcm of the denominators of (k-1)/4 and of linear, makes the images
-    integral.  The kernel stays the same if every other column is scaled by d.
+    Every column is scaled by d, the lcm of the denominators of (k-1)/4 and
+    of linear, so the images are integral and the kernel stays the same.
     """
     c = K_MINUS_1_OVER_4(k)
     d = lcm(c.denominator, *(v.denominator for v in linear.terms.values()))
     linear = linear.map_coefficients(lambda v: int(d * v))
     transport = (MultiPoly(NVARS),) * 3 + (int(d * c) * build_F(0, 0, 0),) * 3
+    monos = [(0, 0, 0) + g for g in enumerate_monomials(3, m)]
     images = []
     for mono in monos:
         g = MultiPoly(NVARS, {mono: 1})
         images.append(linear * g + lie_derivative(transport, g))
-    return d, images
+    images += [d * h for h in extra]
+    vectors, _ = sparse_kernel_basis(_rows(zip(images)), len(images))
+    return monos, vectors
 
 
 def lemma_estrella_solve(
@@ -261,12 +265,8 @@ def lemma_estrella_solve(
 
         (a1 x4 + a2 x5 + a3 x6) g + (k-1)/4 F123 (g_4 + g_5 + g_6) = 0.
     """
-    if m < 0:
-        raise ValueError("degree must be >= 0")
     y = [MultiPoly.variable(NVARS, i) for i in range(3, 6)]
-    monos = [(0, 0, 0) + g for g in enumerate_monomials(3, m)]
-    _, images = _transport_images(a1 * y[0] + a2 * y[1] + a3 * y[2], k, monos)
-    vectors, _ = sparse_kernel_basis(_rows(zip(images)), len(images))
+    monos, vectors = _transport_kernel(a1 * y[0] + a2 * y[1] + a3 * y[2], k, m, [])
     return [_vector_to_poly(v, monos) for v in vectors]
 
 
@@ -282,15 +282,10 @@ def lemma_dificil_solve(k: Fraction, n: int) -> Tuple[List[MultiPoly], List[Tupl
     y = [MultiPoly.variable(NVARS, i) for i in range(3, 6)]
     u = y[0] - y[1]  # x4 - x5
     v = y[0] - y[2]  # x4 - x6
-    g_monos = [(0, 0, 0) + g for g in enumerate_monomials(3, n - 2)]
-    d, images = _transport_images(2 * (y[0] - y[1] + y[2]), k, g_monos)
-    for i in range(n + 1):
-        h_i = (u ** i) * (v ** (n - i))
-        images.append(d * h_i.partial_derivative(4))
-    vectors, _ = sparse_kernel_basis(_rows(zip(images)), len(images))
-    ncols_g = len(g_monos)
-    g_basis = [MultiPoly(NVARS, dict(zip(g_monos, vec[:ncols_g]))) for vec in vectors]
-    return g_basis, [tuple(vec[ncols_g:]) for vec in vectors]
+    h_x5 = [((u ** i) * (v ** (n - i))).partial_derivative(4) for i in range(n + 1)]
+    g_monos, vectors = _transport_kernel(2 * (y[0] - y[1] + y[2]), k, n - 2, h_x5)
+    g_basis = [MultiPoly(NVARS, dict(zip(g_monos, vec))) for vec in vectors]
+    return g_basis, [vec[len(g_monos):] for vec in vectors]
 
 
 # -- The recursion identity behind the hard lemma -----------------------------

@@ -7,16 +7,14 @@ hashing and report output are deterministic.
 
 ``MultiPoly(n)`` is the zero polynomial in n variables, ``MultiPoly(n,
 {mono: c})`` the term c*x^mono, and a polynomial is false exactly when it
-is zero.  ``to_text`` also prints KPoly coefficients, as "(c0 + c1*k)":
-that is how a polynomial at symbolic k is shown.
+is zero.  ``to_text`` prints a coefficient that is neither an int nor a
+Fraction in parentheses: "(c0 + c1*k)" for a polynomial at symbolic k.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
-
-from .coefficients import KPoly
 
 Monomial = Tuple[int, ...]
 
@@ -194,7 +192,7 @@ class MultiPoly:
                 for n, e in zip(names, mono)
                 if e
             )
-            if isinstance(coeff, KPoly):
+            if not isinstance(coeff, (int, Fraction)):
                 body = "(%s)" % coeff
                 if var_part:
                     body += "*" + var_part

@@ -12,6 +12,7 @@ for every k exactly when it is 0 at k = 0 and at k = 1/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import add
 from typing import Dict, Optional, Sequence, Tuple
@@ -59,8 +60,9 @@ class BianchiModel:
     def k_text(self) -> str:
         return "symbolic" if self.k is None else str(self.k)
 
+    @cached_property
     def fields(self) -> Tuple[Field, ...]:
-        """The model's field at each of its ks."""
+        """The model's field at each of its ks, built on the first read."""
         return tuple(build_bianchi(self.tag, k) for k in self.ks)
 
 

@@ -46,7 +46,7 @@ def homogeneous_parts(p):
 
 def model_fields(tag, k):
     """The fields a model is built at: one at a fixed k, two at symbolic k (None)."""
-    return BianchiModel(tag, k).fields()
+    return BianchiModel(tag, k).fields
 
 
 def kernel_vectors(fields, m):

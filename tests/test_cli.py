@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from bianchi_integrals import dynamics, nullspace, vectorfields
+from bianchi_integrals import dynamics, engine, nullspace, vectorfields
 from bianchi_integrals.cli import main
 from bianchi_integrals.multipoly import MultiPoly
 
@@ -75,6 +76,17 @@ class TestFind:
         code, _, err = run(capsys, ["find", "--model", "II", "--format", "text"])
         assert code == 1
         assert "--format" in err
+
+    def test_failed_soundness_recheck_is_one_error_line(self, capsys, monkeypatch):
+        # A kernel vector outside the kernel is a wrong answer, not a usage error.
+        def wrong_kernel(rows, ncols):
+            return [tuple(Fraction(int(j == 0)) for j in range(ncols))], ncols - 1
+
+        monkeypatch.setattr(engine, "sparse_kernel_basis", wrong_kernel)
+        code, out, err = run(capsys, ["find", "--model", "II", "--max-degree", "3"])
+        assert (code, out) == (2, "")
+        assert err.startswith("bianchi: error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestVerify:
@@ -302,6 +314,17 @@ class TestReport:
         cells = {c["model"]: c for c in json.loads(out)["cells"] if c["k"] != "symbolic"}
         assert cells["I"]["independence"] == {"rank": 5, "point": [1, 2, 3, 5, 8, 13]}
         assert cells["II"]["independence"]["rank"] == 2
+
+    def test_each_model_is_built_once(self, capsys, monkeypatch):
+        # 30 cells, six of them at symbolic k with two fields each.
+        build = vectorfields.build_bianchi
+        calls = []
+        monkeypatch.setattr(vectorfields, "build_bianchi",
+                            lambda tag, k: calls.append((tag, k)) or build(tag, k))
+        assert run(capsys, ["report", "--max-degree", "1"])[0] == 0
+        assert len(calls) == 36
+        model = vectorfields.BianchiModel("IX", None)
+        assert model.fields is model.fields
 
     def test_byte_stable(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

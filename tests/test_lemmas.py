@@ -64,13 +64,19 @@ class TestEstrella:
         basis = lemma_estrella_solve(Fraction(1), Fraction(0), Fraction(0), Fraction(1, 2), 0)
         assert len(basis) == 0
 
-    def test_solutions_satisfy_pde(self):
+    @pytest.mark.parametrize("k", [Fraction(1, 2), Fraction(3, 7), Fraction(5, 9)])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_solutions_satisfy_pde(self, k, m, extra):
+        # a = (j, j, j) with j = m(k-1)/2: the solutions are G(u, v)(s^2 - 4 Delta)^m,
+        # so degree 2m + extra has dimension extra + 1.  The columns are scaled by d, the
+        # lcm of the denominators of (k-1)/4 and of j: 8, 7 and 9 at these k.
         y = tail_vars()
         F = build_F(0, 0, 0)
-        k = Fraction(1, 2)
-        m = 2
         a = m * (k - 1) / 2
-        basis = lemma_estrella_solve(a, a, a, k, 2 * m)
+        degree = 2 * m + extra
+        basis = lemma_estrella_solve(a, a, a, k, degree)
+        assert len(basis) == degree - 2 * m + 1
         linear = a * (y[0] + y[1] + y[2])
         cf = (k - 1) / 4
         for g in basis:

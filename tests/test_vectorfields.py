@@ -74,8 +74,8 @@ class TestBianchiModel:
     @pytest.mark.parametrize("tag", sorted(BIANCHI_TABLE))
     def test_fields_are_the_builds_at_its_ks(self, tag):
         for k in (Fraction(0), Fraction(3, 7), Fraction(9, 10)):
-            assert BianchiModel(tag, k).fields() == (build_bianchi(tag, k),)
-        assert BianchiModel(tag, None).fields() == tuple(build_bianchi(tag, s) for s in SYMBOLIC_K)
+            assert BianchiModel(tag, k).fields == (build_bianchi(tag, k),)
+        assert BianchiModel(tag, None).fields == tuple(build_bianchi(tag, s) for s in SYMBOLIC_K)
 
 
 class TestBuildBianchi:
