@@ -2,7 +2,8 @@
 
 Outputs are byte-stable: canonical orderings everywhere and no timestamps.
 Exit codes: 0 success/pass, 1 usage error, 2 expectation mismatch (for
-simulate: the orbit stopped before t_end).
+simulate: the orbit stopped before t_end) or a kernel vector that failed
+the exact soundness re-check.
 """
 
 from __future__ import annotations

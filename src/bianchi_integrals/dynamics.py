@@ -59,18 +59,21 @@ def rhs(C: np.ndarray, x: np.ndarray) -> np.ndarray:
     return C @ (x[_I] * x[_J])
 
 
-# Dormand-Prince 5(4) tableau.
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+# Dormand-Prince 5(4) tableau.  Row s of _A weighs the earlier stages in the
+# input of stage s; the seventh stage is evaluated at the 5th-order solution
+# (FSAL), so _B5 is the last row, and _E = _B5 - _B4 gives y5 - y4.
+_A = np.array([
+    [0, 0, 0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
+])
+_B5 = _A[6]
+_B4 = np.array([5179 / 57600, 0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+_E = _B5 - _B4
 
 _INITIAL_STEP = 1e-4
 _SAFETY = 0.9
@@ -97,15 +100,16 @@ def integrate(model: BianchiModel, x0: Sequence[float], t_end: float, tol: float
     t = 0.0
     y = np.array([float(v) for v in x0])
     ts = [t]
-    ys = [y.copy()]
+    ys = [y]
     h = min(_INITIAL_STEP, t_end)
     err_prev = 1.0
     accepted = 0
     rejected = 0
     status = "completed"
+    K = np.empty((7, NVARS))  # the stages, one row each
     # A trial step that overflows is rejected: its err is not <= 1.
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = rhs(C, y)
+        K[0] = rhs(C, y)
         while t < t_end:
             if accepted + rejected >= MAX_STEPS:
                 status = "max_steps"
@@ -116,20 +120,20 @@ def integrate(model: BianchiModel, x0: Sequence[float], t_end: float, tol: float
                 status = "step_underflow"
                 break
             h = min(h, t_end - t)
-            stages = [k1]
+            hA = h * _A
+            # The input of the last stage is y5, the 5th-order solution (FSAL).
             for s in range(1, 7):
-                yi = y + h * sum(a * ki for a, ki in zip(_A[s], stages))
-                stages.append(rhs(C, yi))
-            y5 = y + h * sum(b * ki for b, ki in zip(_B5, stages))
-            y4 = y + h * sum(b * ki for b, ki in zip(_B4, stages))
+                y5 = y + hA[s, :s] @ K[:s]
+                K[s] = rhs(C, y5)
             scale = tol + tol * np.maximum(np.abs(y), np.abs(y5))
-            err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
+            r = (h * _E) @ K / scale  # (y5 - y4) / scale
+            err = math.sqrt(r @ r / NVARS)
             if err <= 1.0:
                 t += h
                 y = y5
-                k1 = stages[6]  # FSAL
+                K[0] = K[6]  # FSAL
                 ts.append(t)
-                ys.append(y.copy())
+                ys.append(y)
                 accepted += 1
                 err = max(err, 1e-10)
                 factor = _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA

@@ -126,6 +126,68 @@ class TestIntegrate:
         coarse = integrate(model, X0_IX, 1.0, 1e-8)
         assert np.allclose(coarse.x[-1], ref.x[-1], rtol=1e-6, atol=1e-6)
 
+    def test_first_step_is_the_stage_sums(self):
+        # The stacked stages against the textbook sums, one stage at a time:
+        # only the order of the float additions differs.
+        traj = integrate(BianchiModel("IX", Fraction(1, 2)), X0_IX, 1.0, 1e-12)
+        C = coefficient_matrix("IX", 0.5)
+        h = traj.t[1]
+        stages = []
+        for row in dynamics._A:  # the input of the last stage is y5
+            yi = np.array(X0_IX) + h * sum(a * ki for a, ki in zip(row, stages))
+            stages.append(rhs(C, yi))
+        assert np.allclose(traj.x[1], yi, rtol=1e-14, atol=0)
+
+    def test_rejected_steps_keep_the_first_stage(self, monkeypatch):
+        # VI0 at tol 1e-6 rejects trial steps.  A rejected step must leave
+        # the first stage at the current state: the retry costs six rhs
+        # calls, like every step, and lands on the tight orbit.
+        model = BianchiModel("VI0", Fraction(1, 2))
+        calls = []
+        counted = dynamics.rhs
+
+        def counting_rhs(C, x):
+            calls.append(None)
+            return counted(C, x)
+
+        monkeypatch.setattr(dynamics, "rhs", counting_rhs)
+        traj = integrate(model, X0_GENERIC, 1.0, 1e-6)
+        assert traj.ok and traj.n_rejected >= 1
+        assert len(calls) == 6 * (traj.n_accepted + traj.n_rejected) + 1
+        ref = integrate(model, X0_GENERIC, 1.0, 1e-12)
+        assert ref.ok
+        assert np.linalg.norm(traj.x[-1] - ref.x[-1]) <= 1e-4 * np.linalg.norm(ref.x[-1])
+
+
+class TestTableau:
+    """The float Dormand-Prince tableau against its exact rationals, which are
+    read back from the floats (every denominator is below 10^6)."""
+
+    NODES = [Fraction(n, d) for n, d in ((0, 1), (1, 5), (3, 10), (4, 5), (8, 9), (1, 1), (1, 1))]
+
+    @staticmethod
+    def exact(values):
+        out = [Fraction(v).limit_denominator(10**6) for v in values]
+        assert [float(q) for q in out] == list(values)
+        return out
+
+    def test_rows_are_strictly_lower_and_sum_to_the_nodes(self):
+        assert dynamics._A.shape == (7, 7)
+        assert not np.triu(dynamics._A).any()
+        assert [sum(self.exact(row)) for row in dynamics._A] == self.NODES
+
+    def test_b5_is_the_last_row_and_has_order_5(self):
+        assert np.array_equal(dynamics._B5, dynamics._A[6])
+        b5 = self.exact(dynamics._B5)
+        for q in range(1, 6):
+            assert sum(b * c ** (q - 1) for b, c in zip(b5, self.NODES)) == Fraction(1, q)
+
+    def test_error_weights_are_b5_minus_b4_and_sum_to_zero(self):
+        assert np.array_equal(dynamics._E, dynamics._B5 - dynamics._B4)
+        b4 = self.exact(dynamics._B4)
+        assert sum(b - d for b, d in zip(self.exact(dynamics._B5), b4)) == 0
+        for q in range(1, 5):
+            assert sum(b * c ** (q - 1) for b, c in zip(b4, self.NODES)) == Fraction(1, q)
 
 class TestInvariants:
     def test_linear_drift_model_I(self):
