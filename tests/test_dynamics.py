@@ -144,11 +144,10 @@ class TestIntegrate:
         # calls, like every step, and lands on the tight orbit.
         model = BianchiModel("VI0", Fraction(1, 2))
         calls = []
-        counted = dynamics.rhs
 
         def counting_rhs(C, x):
             calls.append(None)
-            return counted(C, x)
+            return rhs(C, x)
 
         monkeypatch.setattr(dynamics, "rhs", counting_rhs)
         traj = integrate(model, X0_GENERIC, 1.0, 1e-6)
@@ -188,6 +187,7 @@ class TestTableau:
         assert sum(b - d for b, d in zip(self.exact(dynamics._B5), b4)) == 0
         for q in range(1, 5):
             assert sum(b * c ** (q - 1) for b, c in zip(b4, self.NODES)) == Fraction(1, q)
+
 
 class TestInvariants:
     def test_linear_drift_model_I(self):
