@@ -13,7 +13,7 @@ from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from .vectorfields import NVARS, BianchiModel, build_F, k_parts, polynomial_integrals
+from .vectorfields import NVARS, BianchiModel, build_F, polynomial_integrals
 
 
 # Accepted plus rejected steps after which an orbit stops with "max_steps".
@@ -38,20 +38,17 @@ _PAIRS = [(i, j) for i in range(NVARS) for j in range(i, NVARS)]
 _I, _J = np.array(_PAIRS).T
 
 
-def coefficient_matrix(tag: str, k: float) -> np.ndarray:
-    """The 6x21 float matrix C with X(x) = C @ (x_i * x_j for i <= j).
-
-    X is affine in k, so C = C1*k + C0, with C0 and C1 the float k^0 and
-    k^1 parts of the exact builds at SYMBOLIC_K: each entry is
-    float(c1)*k + float(c0).
-    """
-    C0, C1 = np.zeros((2, NVARS, len(_PAIRS)))
-    for row, values in enumerate(zip(*BianchiModel(tag, None).fields)):
-        for C, part in zip((C0, C1), k_parts(*values)):
-            for mono, coeff in part.terms.items():
-                pair = tuple(v for v, e in enumerate(mono) for _ in range(e))
-                C[row, _PAIRS.index(pair)] = float(coeff)
-    return C1 * k + C0
+def coefficient_matrix(model: BianchiModel) -> np.ndarray:
+    """The 6x21 float matrix C with X(x) = C @ (x_i * x_j for i <= j): the
+    float of each exact coefficient of the model's field at its fixed k.
+    A symbolic-k model raises ValueError."""
+    _float_k(model)
+    C = np.zeros((NVARS, len(_PAIRS)))
+    for row, comp in enumerate(model.fields[0]):
+        for mono, coeff in comp.terms.items():
+            pair = tuple(v for v, e in enumerate(mono) for _ in range(e))
+            C[row, _PAIRS.index(pair)] = float(coeff)
+    return C
 
 
 def rhs(C: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -96,7 +93,7 @@ def integrate(model: BianchiModel, x0: Sequence[float], t_end: float, tol: float
     for name, value in (("t_end", t_end), ("tol", tol)):
         if not 0 < value < math.inf:
             raise ValueError("%s must be a finite positive number" % name)
-    C = coefficient_matrix(model.tag, _float_k(model))
+    C = coefficient_matrix(model)
     t = 0.0
     y = np.array([float(v) for v in x0])
     ts = [t]

@@ -6,9 +6,12 @@ polynomial first integrals.  A model gives one field per k it is built
 at, two at symbolic k.  X(P) is affine in k, so it is zero for every k
 exactly when it is zero at both k of SYMBOLIC_K: the kernel of the two
 systems stacked is the symbolic kernel.  Its entries are Python ints.
-Kernel bases are recomputed canonically, re-verified against the Lie
-derivative of every field, and compared to the expected dimensions per
-model.
+Kernel bases are recomputed canonically and re-verified against the Lie
+derivative of every field.  The expected degree-m kernel is the span of
+the products of the model's known integrals whose degrees sum to m; a
+kernel matches it when rank(products) = rank(kernel) = rank(products and
+kernel) = the kernel's length, which also rules out a repeated or
+dependent vector.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from math import lcm
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .coefficients import K_MINUS_1_OVER_2, K_MINUS_1_OVER_4
 from .multipoly import Monomial, MultiPoly, monomial_key
@@ -129,40 +132,44 @@ def kernel_basis(fields: Sequence[Field], m: int) -> List[MultiPoly]:
 # -- Theorem reproduction ------------------------------------------------------
 
 
-def expected_dimension(tag: str, m: int) -> int:
-    """Expected degree-m kernel dimension per model.
+def _products(generators: Sequence[MultiPoly], m: int) -> List[MultiPoly]:
+    """The products of generators, with repetition, whose degrees sum to m."""
+    if m == 0:
+        return [MultiPoly.constant(NVARS, 1)]
+    out = []
+    for i, g in enumerate(generators):
+        d = max(map(sum, g.terms))
+        if d <= m:
+            out += [g * p for p in _products(generators[i:], m - d)]
+    return out
 
-    The first integrals are the polynomial algebra generated by the model's
-    r independent linear integrals, whose degree-m part has dimension
-    C(m+r-1, m): m+1 for type I, 1 for type II and 0 for the other four.
-    """
-    r = len(polynomial_integrals(tag))
-    return comb(m + r - 1, m)
 
-
-def expected_basis(tag: str, m: int) -> Optional[List[MultiPoly]]:
-    """Exact expected basis, where the theorem pins one down."""
-    generators = polynomial_integrals(tag)
-    if len(generators) == 1:
-        return [generators[0] ** m]
-    if m == 1:
-        return list(generators)
-    return None
+def _rank(polys: Sequence[MultiPoly]) -> int:
+    """Exact rank of the polynomials over Q: each, cleared of denominators,
+    is one column of _rows.  An empty set has rank 0 and needs no elimination."""
+    if not polys:
+        return 0
+    columns = []
+    for p in polys:
+        d = lcm(*(c.denominator for c in p.terms.values()))
+        columns.append([p.map_coefficients(lambda c: int(c * d))])
+    return sparse_kernel_basis(_rows(columns), len(columns))[1]
 
 
 def degree_sweep(model: BianchiModel, m_max: int) -> dict:
-    """find's payload: kernel dimensions and bases for degrees 1..m_max, against expectations."""
+    """find's payload: kernel dimensions and bases for degrees 1..m_max, each
+    against the span of the products of polynomial_integrals(model.tag)."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    generators = polynomial_integrals(model.tag)
     degrees, expected, passed = [], [], True
     for m in range(1, m_max + 1):
-        basis = [p.to_text() for p in kernel_basis(model.fields, m)]
-        exp_dim = expected_dimension(model.tag, m)
-        exp_basis = expected_basis(model.tag, m)
-        passed = passed and len(basis) == exp_dim and (
-            exp_basis is None or set(basis) == {p.to_text() for p in exp_basis})
-        degrees.append({"m": m, "dim": len(basis), "basis": basis})
-        expected.append({"m": m, "dim": exp_dim})
+        kernel = kernel_basis(model.fields, m)
+        products = _products(generators, m)
+        dim = _rank(products)
+        passed = passed and dim == _rank(kernel) == _rank(products + kernel) == len(kernel)
+        degrees.append({"m": m, "dim": len(kernel), "basis": [p.to_text() for p in kernel]})
+        expected.append({"m": m, "dim": dim})
     return {
         "model": model.tag,
         "k": model.k_text(),
@@ -220,13 +227,10 @@ def _gradient_rows(tag: str, k: Fraction) -> List[List[Fraction]]:
 
 
 def independence_rank(tag: str, k: Fraction) -> Tuple[int, int]:
-    """Exact rank of _gradient_rows(tag, k), each cleared of denominators, and their number."""
+    """Exact rank of _gradient_rows(tag, k), each as the linear form row . x, and their number."""
     rows = _gradient_rows(tag, k)
-    cleared = []
-    for row in rows:
-        d = lcm(*(v.denominator for v in row))
-        cleared.append({c: int(v * d) for c, v in enumerate(row) if v})
-    return sparse_kernel_basis(cleared, len(RANK_POINT))[1], len(rows)
+    units = enumerate_monomials(NVARS, 1)
+    return _rank([MultiPoly(NVARS, dict(zip(units, row))) for row in rows]), len(rows)
 
 
 # -- Lemma analyzers (PDEs in x4, x5, x6) -------------------------------------

@@ -102,18 +102,14 @@ def build_bianchi(tag: str, k: Fraction) -> Field:
 
 def text_at(values: Sequence[MultiPoly]) -> str:
     """The text of a polynomial from its values at a model's ks: one value prints as
-    it is, and v(0), v(1/2) print with the coefficients c0 + c1*k of k_parts."""
+    it is, and the values v(0), v(1/2) of a v affine in k print with its
+    coefficients c0 + c1*k, c0 = v(0) and c1 = 2(v(1/2) - v(0))."""
     if len(values) == 1:
         return values[0].to_text()
-    c0, c1 = k_parts(*values)
+    c0, at_half = values
+    c1 = 2 * (at_half - c0)
     return MultiPoly(c0.nvars, {m: KPoly((c0.terms.get(m, 0), c1.terms.get(m, 0)))
                                 for m in c0.terms.keys() | c1.terms.keys()}).to_text()
-
-
-def k_parts(at_0: MultiPoly, at_half: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
-    """The k^0 and k^1 parts c0 = v(0), c1 = 2(v(1/2) - v(0)) of a polynomial v
-    affine in k, from its values at SYMBOLIC_K."""
-    return at_0, 2 * (at_half - at_0)
 
 
 def lie_derivative(X: Field, p: MultiPoly) -> MultiPoly:

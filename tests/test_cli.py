@@ -349,6 +349,30 @@ class TestBrokenModularCertificate:
         assert run(capsys, argv)[0] == code
 
 
+class TestRepeatedKernelVector:
+    # A kernel whose second vector repeats the first has the right length, and
+    # each copy passes the soundness re-check; only the rank against the span
+    # of the known integrals' products tells it apart.  Type I's kernel has
+    # three vectors from degree 2 on.
+    @pytest.mark.parametrize("argv", [
+        ["find", "--model", "I", "--max-degree", "3"],
+        ["report", "--max-degree", "3"],
+    ])
+    def test_is_a_mismatch(self, capsys, monkeypatch, argv):
+        kernel = engine.sparse_kernel_basis
+
+        def repeating(rows, ncols):
+            vectors, rank = kernel(rows, ncols)
+            if len(vectors) >= 3:
+                vectors[1] = vectors[0]
+            return vectors, rank
+
+        monkeypatch.setattr(engine, "sparse_kernel_basis", repeating)
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (2, "")
+        assert json.loads(out)["pass"] is False
+
+
 class TestUsageErrors:
     def test_unknown_model_exits_one(self, capsys):
         code, _, err = run(capsys, ["find", "--model", "X"])

@@ -29,7 +29,7 @@ class TestRhs:
     def test_hand_value_type_IX(self):
         # at x = (1,1,1,1,2,3), k = 1/2:
         # F = 1+1+1-2-2-2 + 1+4+9-4-6-12 = -11; q = -1/8 * -11 = 11/8
-        C = coefficient_matrix("IX", 0.5)
+        C = coefficient_matrix(BianchiModel("IX", Fraction(1, 2)))
         v = rhs(C, np.array(X0_IX))
         assert v[0] == pytest.approx(1.0 * (-1 + 2 + 3))
         assert v[1] == pytest.approx(1.0 * (1 - 2 + 3))
@@ -50,27 +50,24 @@ class TestRhs:
                 for point in points:
                     exact = [float(c.evaluate(point)) for c in X]
                     x = np.array([float(v) for v in point])
-                    approx = rhs(coefficient_matrix(tag, float(k)), x)
+                    approx = rhs(coefficient_matrix(BianchiModel(tag, k)), x)
                     assert np.allclose(approx, exact, rtol=1e-14, atol=0), (tag, k, point)
 
     @pytest.mark.parametrize("tag", MODEL_TAGS)
-    def test_entries_are_float_c1_times_k_plus_float_c0(self, tag):
-        # Each coefficient is c(k) = c0 + c1*k exactly, with c0 = c(0) and
-        # c1 = 2*(c(1/2) - c(0)).  C holds float(c1)*k + float(c0), which can
-        # differ from float(c(k)) in the last bit; simulate's CSV depends on it.
-        at_0, at_half = (build_bianchi(tag, k) for k in (Fraction(0), Fraction(1, 2)))
+    def test_entries_are_the_floats_of_the_exact_coefficients(self, tag):
+        # C is read off the model's own exact field: each entry is the
+        # correctly rounded float of its rational coefficient.
         for k in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(4, 7),
                   Fraction(2, 3), Fraction(9, 10)):
-            C = coefficient_matrix(tag, float(k))
+            X = build_bianchi(tag, k)
+            C = coefficient_matrix(BianchiModel(tag, k))
             for col, (i, j) in enumerate(dynamics._PAIRS):
                 mono = tuple((v == i) + (v == j) for v in range(6))
                 for row in range(6):
-                    c0 = at_0[row].terms.get(mono, 0)
-                    c1 = 2 * (at_half[row].terms.get(mono, 0) - c0)
-                    assert C[row, col] == float(c1) * float(k) + float(c0), (k, row, mono)
-        # (k - 1)/4 at k = 9/10, against float(-1/40) = -0.025.
-        c = coefficient_matrix(tag, 0.9)[3, dynamics._PAIRS.index((3, 3))]
-        assert c == -0.024999999999999994 and c != float(Fraction(-1, 40))
+                    assert C[row, col] == float(X[row].terms.get(mono, 0)), (k, row, mono)
+        # (k - 1)/4 at k = 9/10 is float(-1/40) = -0.025.
+        c = coefficient_matrix(BianchiModel(tag, Fraction(9, 10)))[3, dynamics._PAIRS.index((3, 3))]
+        assert c == -0.025
 
 
 class TestIntegrate:
@@ -130,7 +127,7 @@ class TestIntegrate:
         # The stacked stages against the textbook sums, one stage at a time:
         # only the order of the float additions differs.
         traj = integrate(BianchiModel("IX", Fraction(1, 2)), X0_IX, 1.0, 1e-12)
-        C = coefficient_matrix("IX", 0.5)
+        C = coefficient_matrix(BianchiModel("IX", Fraction(1, 2)))
         h = traj.t[1]
         stages = []
         for row in dynamics._A:  # the input of the last stage is y5

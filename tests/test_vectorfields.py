@@ -11,7 +11,6 @@ from bianchi_integrals.vectorfields import (
     BianchiModel,
     build_F,
     build_bianchi,
-    k_parts,
     lie_derivative,
     polynomial_integrals,
     text_at,
@@ -125,9 +124,8 @@ class TestAffineInK:
             assert comp == v0 + k * (2 * (vh - v0))
         assert at_0[:3] == at_half[:3]
 
-    def test_k_parts_and_their_text(self):
+    def test_text_at_symbolic_k(self):
         v0, vh = (build_bianchi("IX", s)[3] for s in SYMBOLIC_K)
-        assert k_parts(v0, vh) == (v0, Fraction(1, 4) * build_F(1, 1, 1))
         assert text_at([v0, vh]).startswith("(3/4 + 1/4*k)*x1^2 + (-1/2 + -1/2*k)*x1*x2")
         assert text_at([v0]) == v0.to_text()
         assert text_at([MultiPoly(6), MultiPoly(6)]) == "0"
