@@ -53,7 +53,7 @@ def coefficient_matrix(model: BianchiModel) -> np.ndarray:
 
 def rhs(C: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Float evaluation of the quadratic system with coefficient matrix C."""
-    return C @ (x[_I] * x[_J])
+    return C.dot(x[_I] * x[_J])
 
 
 # Dormand-Prince 5(4) tableau.  Row s of _A weighs the earlier stages in the
@@ -120,11 +120,13 @@ def integrate(model: BianchiModel, x0: Sequence[float], t_end: float, tol: float
             hA = h * _A
             # The input of the last stage is y5, the 5th-order solution (FSAL).
             for s in range(1, 7):
-                y5 = y + hA[s, :s] @ K[:s]
+                y5 = y + hA[s, :s].dot(K[:s])
                 K[s] = rhs(C, y5)
-            scale = tol + tol * np.maximum(np.abs(y), np.abs(y5))
-            r = (h * _E) @ K / scale  # (y5 - y4) / scale
-            err = math.sqrt(r @ r / NVARS)
+            # The RMS of (y5 - y4) / (tol * (1 + max(|y|, |y5|))).
+            scale = np.maximum(np.abs(y), np.abs(y5))
+            scale += 1.0
+            r = _E.dot(K) / scale
+            err = h / tol * math.sqrt(r.dot(r) / NVARS)
             if err <= 1.0:
                 t += h
                 y = y5
@@ -145,41 +147,40 @@ def integrate(model: BianchiModel, x0: Sequence[float], t_end: float, tol: float
 # -- Invariants ----------------------------------------------------------------
 
 
-# An invariant maps a state, six Python floats, to its value, or to nan
-# outside its domain.
-Invariant = Callable[[Sequence[float]], float]
+# An invariant maps the six coordinates, as floats or as equal-length float
+# arrays, to its value, or to nan outside its domain.  A point out of the
+# domain is made nan before any power or division, so it raises no warning.
+Invariant = Callable[[Sequence], object]
 
 
 def energy_invariant(n: Tuple[int, int, int], k: float) -> Invariant:
-    """(x1 x2 x3)^((k-1)/2) * F; defined where x1 x2 x3 > 0."""
+    """(x1 x2 x3)^((k-1)/2) * F for k < 1; defined where x1 x2 x3 > 0."""
     F = build_F(*n).evaluate
 
     def fn(x):
         w = x[0] * x[1] * x[2]
-        return w ** ((k - 1) / 2) * F(x) if w > 0 else math.nan
+        return np.where(w > 0, w, np.nan) ** ((k - 1) / 2) * F(x)
 
     return fn
 
 
 def transcendental_invariant(k: float, i: int, j: int) -> Invariant:
     """(x_i/x_j)^((1-k)/2) * R^((x_{i+3}-x_{j+3})/sqrt(D)) for the type I
-    system, with 0-based coordinate indices i, j in {0, 1, 2}.  Here
-    D = x4^2+x5^2+x6^2-x4x5-x4x6-x5x6, s = x4+x5+x6 and
+    system at k < 1, with 0-based coordinate indices i, j in {0, 1, 2}.
+    Here D = x4^2+x5^2+x6^2-x4x5-x4x6-x5x6, s = x4+x5+x6 and
     R = (s - 2 sqrt(D)) / (s + 2 sqrt(D)); defined where x_i/x_j, D and
     both s -+ 2 sqrt(D) are positive."""
 
     def fn(x):
         x4, x5, x6 = x[3:]
-        base = x[i] / x[j] if x[j] else math.nan
         d = x4 * x4 + x5 * x5 + x6 * x6 - x4 * x5 - x4 * x6 - x5 * x6
-        if not (base > 0 and d > 0):
-            return math.nan
-        root = math.sqrt(d)
+        root = np.sqrt(np.where(d > 0, d, np.nan))
         s = x4 + x5 + x6
-        num, den = s - 2 * root, s + 2 * root
-        if num <= 0 or den <= 0:
-            return math.nan
-        return base ** ((1 - k) / 2) * (num / den) ** ((x[i + 3] - x[j + 3]) / root)
+        base = x[i] / np.where(x[j] != 0, x[j], np.nan)
+        ok = (base > 0) & (s > 2 * root)  # so s + 2 sqrt(D) > 0 too
+        base, s = np.where(ok, base, np.nan), np.where(ok, s, np.nan)
+        ratio = (s - 2 * root) / (s + 2 * root)
+        return base ** ((1 - k) / 2) * ratio ** ((x[i + 3] - x[j + 3]) / root)
 
     return fn
 
@@ -200,24 +201,21 @@ def standard_invariants(model: BianchiModel) -> Dict[str, Invariant]:
 def monitor_invariant(traj: Trajectory, inv: Invariant, name: str) -> dict:
     """Max relative drift of one invariant along the trajectory.
 
-    The drift is max |v(t)-v(0)| / max(1, |v(0)|), taken over the points
-    where the invariant is finite.  A nan (outside the domain), an overflow
+    The invariant is evaluated once, on the whole trajectory's columns.  The
+    drift is max |v(t)-v(0)| / max(1, |v(0)|), taken over the points where
+    the invariant is finite.  A nan (outside the domain), an overflow (inf)
     and any other non-finite value are flagged as a domain violation.
     """
-    values = []
-    for row in traj.x:
-        try:
-            values.append(inv(row.tolist()))
-        except OverflowError:  # a float power out of range
-            values.append(math.nan)
-    finite = [v for v in values if math.isfinite(v)]
-    value0 = finite[0] if finite else None
+    with np.errstate(all="ignore"):
+        values = np.asarray(inv(list(traj.x.T)))
+    finite = values[np.isfinite(values)]
+    value0 = float(finite[0]) if finite.size else None
     return {
         "name": name,
         "initial_value": value0,
-        "max_relative_drift": max((abs(v - value0) / max(1.0, abs(value0)) for v in finite),
-                                  default=None),
-        "domain_violation": len(finite) < len(values),
+        "max_relative_drift": (float(np.abs(finite - value0).max()) / max(1.0, abs(value0))
+                               if finite.size else None),
+        "domain_violation": finite.size < values.size,
     }
 
 
@@ -232,7 +230,7 @@ def drift_report(traj: Trajectory, invariants: Dict[str, Invariant]) -> dict:
 def write_trajectory_csv(traj: Trajectory, stream) -> None:
     """CSV with 17 significant digits, one row per accepted step."""
     stream.write("t,x1,x2,x3,x4,x5,x6\n")
-    for t, row in zip(traj.t, traj.x):
-        stream.write(
-            "%.17g,%s\n" % (t, ",".join("%.17g" % v for v in row))
-        )
+    row_format = ",".join(["%.17g"] * 7) + "\n"
+    # Row by row: all of traj.x.tolist() at once holds ~250 bytes per row.
+    for t, row in zip(traj.t.tolist(), map(np.ndarray.tolist, traj.x)):
+        stream.write(row_format % (t, *row))

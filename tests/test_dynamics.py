@@ -17,10 +17,19 @@ from bianchi_integrals.dynamics import (
     transcendental_invariant,
     write_trajectory_csv,
 )
-from bianchi_integrals.vectorfields import MODEL_TAGS, BianchiModel, build_bianchi
+from bianchi_integrals.cli import DEFAULT_X0, DEFAULT_X0_GENERIC
+from bianchi_integrals.multipoly import MultiPoly
+from bianchi_integrals.vectorfields import (
+    MODEL_TAGS,
+    BianchiModel,
+    build_bianchi,
+    build_F,
+    polynomial_integrals,
+)
 
 from conftest import drift_entry
 
+EPS = np.finfo(float).eps
 X0_IX = (1.0, 1.0, 1.0, 1.0, 2.0, 3.0)
 X0_GENERIC = (1.0, 2.0, 3.0, 1.0, 2.0, 4.0)
 
@@ -228,11 +237,21 @@ class TestInvariants:
     def test_energy_domain_error(self):
         inv = energy_invariant((1, 1, 1), 0.5)
         assert math.isnan(inv((-1.0, 1.0, 1.0, 0.0, 0.0, 0.0)))
+        values = inv(list(np.array([(-1.0, 1.0, 1.0, 1.0, 2.0, 3.0), (1.0, 0.0, 1.0, 1.0, 2.0, 3.0),
+                                    X0_IX]).T))
+        assert np.isnan(values[:2]).all() and values[2] == pytest.approx(inv(X0_IX), rel=1e-15)
 
     def test_transcendental_domain_error(self):
         inv = transcendental_invariant(0.5, 0, 1)
         assert math.isnan(inv((-1.0, 1.0, 1.0, 1.0, 2.0, 3.0)))
         assert math.isnan(inv((1.0, 1.0, 1.0, 2.0, 2.0, 2.0)))  # degenerate discriminant
+        # s -+ 2 sqrt(D) both negative: R > 0, but the point is out of the domain.
+        assert math.isnan(inv((1.0, 1.0, 1.0, -1.0, -2.0, -4.0)))
+        # The same points as columns, with one point inside the domain, and no warning.
+        points = [(-1.0, 1.0, 1.0, 1.0, 2.0, 3.0), (1.0, 1.0, 1.0, 2.0, 2.0, 2.0),
+                  (1.0, 1.0, 1.0, -1.0, -2.0, -4.0), (1.0, 0.0, 3.0, 1.0, 2.0, 4.0), X0_GENERIC]
+        values = inv(list(np.array(points).T))
+        assert np.isnan(values[:4]).all() and values[4] == pytest.approx(inv(X0_GENERIC), rel=1e-15)
 
     @pytest.mark.filterwarnings("error")
     def test_transcendental_on_the_x2_hyperplane_is_flagged_without_warning(self):
@@ -262,30 +281,26 @@ class TestInvariants:
     def test_monitor_skips_non_finite(self):
         model = BianchiModel("IX", Fraction(1, 2))
         traj = integrate(model, X0_IX, 0.05, 1e-12)
-        calls = {"n": 0}
 
         def flaky(x):
-            calls["n"] += 1
-            return math.inf if calls["n"] == 2 else 1.0
+            values = np.ones(len(x[0]))
+            values[1] = math.inf
+            return values
 
         entry = monitor_invariant(traj, flaky, "flaky")
         assert entry["domain_violation"]
         assert entry["max_relative_drift"] == 0.0
 
     @staticmethod
-    def _rows_then(outcomes):
-        """A trajectory of len(outcomes) rows and an invariant that gives, on row i,
-        outcomes[i]: a value (nan outside its domain), or an exception class
-        that it raises."""
-        n = len(outcomes)
+    def _rows_then(values):
+        """A trajectory of len(values) rows and a column invariant that gives,
+        on row i, values[i]: nan outside its domain, inf for an overflow."""
+        n = len(values)
         traj = dynamics.Trajectory(np.arange(float(n)), np.arange(6.0 * n).reshape(n, 6),
                                    "completed", n - 1, 0)
 
         def inv(x):
-            outcome = outcomes[int(x[0]) // 6]
-            if isinstance(outcome, type):
-                raise outcome("row %d" % (int(x[0]) // 6))
-            return outcome
+            return np.array(values)[(x[0] // 6).astype(int)]
 
         return traj, inv
 
@@ -303,7 +318,7 @@ class TestInvariants:
                          "domain_violation": False}
 
     def test_monitor_skips_overflow_and_nan_rows(self):
-        for bad in (OverflowError, math.nan):
+        for bad in (math.inf, -math.inf, math.nan):
             traj, inv = self._rows_then([2.0, bad, 2.5, bad, 1.75])
             entry = monitor_invariant(traj, inv, "flagged")
             assert entry["initial_value"] == 2.0
@@ -318,6 +333,108 @@ class TestInvariants:
             "x5-x6", "H",
         ]
         assert list(standard_invariants(BianchiModel("IX", Fraction(1, 2)))) == ["H"]
+
+
+def _energy_row(n, k):
+    """H on one row of Python floats, by the per-row rule: nan off x1 x2 x3 > 0."""
+    F = build_F(*n).evaluate
+
+    def fn(x):
+        w = x[0] * x[1] * x[2]
+        return w ** ((k - 1) / 2) * F(x) if w > 0 else math.nan
+
+    return fn
+
+
+def _transcendental_row(k, i, j):
+    """T_ij on one row of Python floats, with math and an if for each domain test."""
+
+    def fn(x):
+        x4, x5, x6 = x[3:]
+        base = x[i] / x[j] if x[j] else math.nan
+        d = x4 * x4 + x5 * x5 + x6 * x6 - x4 * x5 - x4 * x6 - x5 * x6
+        if not (base > 0 and d > 0):
+            return math.nan
+        root = math.sqrt(d)
+        s = x4 + x5 + x6
+        num, den = s - 2 * root, s + 2 * root
+        if num <= 0 or den <= 0:
+            return math.nan
+        return base ** ((1 - k) / 2) * (num / den) ** ((x[i + 3] - x[j + 3]) / root)
+
+    return fn
+
+
+def _magnitude(p):
+    """The sum of the absolute values of p's terms on a row of floats."""
+    q = MultiPoly(p.nvars, {mono: abs(c) for mono, c in p.terms.items()})
+    return lambda x: q.evaluate([abs(v) for v in x])
+
+
+def _per_row(fn, traj):
+    """fn on each trajectory row in turn; a float power out of range is nan."""
+    values = []
+    for row in traj.x.tolist():
+        try:
+            values.append(fn(row))
+        except OverflowError:
+            values.append(math.nan)
+    return np.array(values)
+
+
+class TestColumnsAgainstRows:
+    """The whole-trajectory invariants and CSV rows against the per-row loops
+    they replace, along each model's default orbit (the CLI's start, t_end 1,
+    tol 1e-12), cut at 5000 steps so that the orbits which run into their step
+    budget stay cheap."""
+
+    @pytest.fixture(params=[Fraction(0), Fraction(1, 2), Fraction(9, 10)], ids=str)
+    def k(self, request):
+        return request.param
+
+    @pytest.fixture(params=MODEL_TAGS)
+    def orbit(self, request, k, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 5000)
+        model = BianchiModel(request.param, k)
+        start = DEFAULT_X0.get(model.tag, DEFAULT_X0_GENERIC)
+        return model, integrate(model, [float(Fraction(v)) for v in start.split(",")], 1.0, 1e-12)
+
+    def test_invariants_match_the_row_loop(self, orbit):
+        # The error bound is relative to the sum of the absolute values of the
+        # terms: F and the linear integrals cancel, and the per-row loop's
+        # x ** 2 (libm pow) and the columns' square may differ in the last bit.
+        model, traj = orbit
+        kf = float(model.k)
+        rows = {}  # name -> (value on a row, the scale of its rounding error)
+        for p in polynomial_integrals(model.tag):
+            rows[p.to_text().replace(" ", "")] = (p.evaluate, _magnitude(p))
+        if model.tag == "I":
+            for i, j in ((0, 1), (1, 2)):
+                T = _transcendental_row(kf, i, j)
+                rows["trans(x%d/x%d)" % (i + 1, j + 1)] = (T, lambda x, T=T: abs(T(x)))
+        F = _magnitude(build_F(*model.n))
+        rows["H"] = (_energy_row(model.n, kf),
+                     lambda x: (x[0] * x[1] * x[2]) ** ((kf - 1) / 2) * F(x))
+        columns = standard_invariants(model)
+        assert list(columns) == list(rows)
+        for name, inv in columns.items():
+            value, scale = rows[name]
+            with np.errstate(all="ignore"):
+                got = inv(list(traj.x.T))
+            want = _per_row(value, traj)
+            assert got.shape == want.shape
+            assert np.array_equal(np.isnan(got), np.isnan(want)), name
+            for g, w, row in zip(got.tolist(), want.tolist(), traj.x.tolist()):
+                if not math.isnan(w):
+                    assert abs(g - w) <= 16 * EPS * scale(row), (name, row)
+
+    def test_csv_bytes_match_the_row_join(self, orbit):
+        _, traj = orbit
+        buf = io.StringIO()
+        write_trajectory_csv(traj, buf)
+        want = "t,x1,x2,x3,x4,x5,x6\n" + "".join(
+            "%.17g,%s\n" % (t, ",".join("%.17g" % v for v in row)) for t, row in zip(traj.t, traj.x))
+        assert buf.getvalue().encode() == want.encode()
 
 
 class TestCsv:
