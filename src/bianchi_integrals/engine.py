@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -55,10 +56,12 @@ class LinearSystem:
 
     Rows are ordered by (output monomial, part index), as _rows sorts them;
     a fixed k has one part.  Columns follow the ansatz monomial order.  The
-    rows, Python ints, are those of the parts assemble_system builds.
+    rows, Python ints, are those of the parts assemble_system builds, and
+    outputs holds the output monomial of each row.
     """
 
     columns: Tuple[Monomial, ...]
+    outputs: List[Monomial]
     rows: List[SparseRow]
 
     @property
@@ -69,9 +72,16 @@ class LinearSystem:
     def nrows(self) -> int:
         return len(self.rows)
 
+    @property
+    def labels(self) -> Tuple[List[Tuple[int, Monomial]], List[Tuple[int, Monomial]]]:
+        """The filtration label of each column and of each row, for sparse_kernel_basis."""
+        return ([_filtration_label(c[:3]) for c in self.columns],
+                [_filtration_label(o[:3]) for o in self.outputs])
 
-def _rows(columns: Iterable[Sequence[MultiPoly]]) -> List[SparseRow]:
-    """Sparse rows of the linear map sending unknown j to column j's images.
+
+def _rows(columns: Iterable[Sequence[MultiPoly]]) -> Tuple[List[Monomial], List[SparseRow]]:
+    """The output monomial of each row and the sparse rows of the linear map
+    sending unknown j to column j's images.
 
     Column j holds one image per part, so each row is keyed by (output
     monomial, part index), largest first, and the kernel annihilates every
@@ -83,7 +93,7 @@ def _rows(columns: Iterable[Sequence[MultiPoly]]) -> List[SparseRow]:
             for out_mono, coeff in image.terms.items():
                 rowmap.setdefault((out_mono, f), {})[j] = coeff
     keys = sorted(rowmap, key=lambda mk: (monomial_key(mk[0]), mk[1]), reverse=True)
-    return [rowmap[k] for k in keys]
+    return [mono for mono, _ in keys], [rowmap[k] for k in keys]
 
 
 def assemble_system(fields: Sequence[Field], m: int) -> LinearSystem:
@@ -103,9 +113,9 @@ def assemble_system(fields: Sequence[Field], m: int) -> LinearSystem:
     d = lcm(*(c.denominator for X in parts for comp in X for c in comp.terms.values()))
     parts = [tuple(comp.map_coefficients(lambda c: int(c * d)) for comp in X) for X in parts]
     # A generator, so each column's images are dropped once its rows are read.
-    rows = _rows([lie_derivative(X, MultiPoly(len(X0), {mono: 1})) for X in parts]
-                 for mono in basis)
-    return LinearSystem(tuple(basis), rows)
+    outputs, rows = _rows([lie_derivative(X, MultiPoly(len(X0), {mono: 1})) for X in parts]
+                          for mono in basis)
+    return LinearSystem(tuple(basis), outputs, rows)
 
 
 def _vector_to_poly(vec: Sequence[Fraction], columns: Sequence[Monomial]) -> MultiPoly:
@@ -116,11 +126,30 @@ def _vector_to_poly(vec: Sequence[Fraction], columns: Sequence[Monomial]) -> Mul
     return poly
 
 
+@lru_cache(maxsize=None)
+def _filtration_label(alpha: Tuple[int, int, int]) -> Tuple[int, Tuple[int, int, int]]:
+    """(level, group) of the monomials whose exponent in x1..x3 is alpha.
+
+    The group is alpha and the level |alpha|, but every alpha with
+    |alpha| <= 2 is one group at level 2, as the block of alpha = 0 alone
+    holds every G(x4 - x5, x4 - x6) in its kernel.  A field is X0 + X2: for
+    i <= 3, X_i is x_i times a form in x4..x6, and X_(3+i) is a multiple of
+    F123 plus a form of degree 2 in x1..x3.  X0 keeps alpha and X2 raises
+    |alpha| by 2, so a row has entries only in columns of its own group or
+    of a lower level; sparse_kernel_basis checks this on the rows.  Cached,
+    so that equal labels are one object.
+    """
+    level = sum(alpha)
+    return (level, alpha) if level > 2 else (2, (0, 0, 0))
+
+
 def kernel_basis(fields: Sequence[Field], m: int) -> List[MultiPoly]:
     """Canonical basis of the degree-m first integrals common to every field,
-    over the rationals, with a post-hoc soundness re-check against each field."""
+    over the rationals, with a post-hoc soundness re-check against each field.
+    Columns and rows are labelled by the x1..x3 filtration, so that an empty
+    kernel is certified on the diagonal blocks."""
     system = assemble_system(fields, m)
-    vectors, _rank = sparse_kernel_basis(system.rows, system.ncols)
+    vectors, _rank = sparse_kernel_basis(system.rows, system.ncols, system.labels)
     basis = [_vector_to_poly(v, system.columns) for v in vectors]
     for poly in basis:
         for X in fields:
@@ -153,7 +182,7 @@ def _rank(polys: Sequence[MultiPoly]) -> int:
     for p in polys:
         d = lcm(*(c.denominator for c in p.terms.values()))
         columns.append([p.map_coefficients(lambda c: int(c * d))])
-    return sparse_kernel_basis(_rows(columns), len(columns))[1]
+    return sparse_kernel_basis(_rows(columns)[1], len(columns))[1]
 
 
 def degree_sweep(model: BianchiModel, m_max: int) -> dict:
@@ -258,7 +287,7 @@ def _transport_kernel(linear: MultiPoly, k: Fraction, m: int,
         g = MultiPoly(NVARS, {mono: 1})
         images.append(linear * g + lie_derivative(transport, g))
     images += [d * h for h in extra]
-    vectors, _ = sparse_kernel_basis(_rows(zip(images)), len(images))
+    vectors, _ = sparse_kernel_basis(_rows(zip(images))[1], len(images))
     return monos, vectors
 
 

@@ -7,10 +7,25 @@ to the block of its columns.  The kernel is the direct sum of the block
 kernels, and its canonical basis is the union of the canonical block bases,
 ordered by free column.
 
-A block with at least as many rows as columns is first reduced mod the prime
-p = 2^31 - 1, densely in numpy int64 (entries stay below 2^31, so products
-fit).  Rank mod p is at most the rank over Q, so full column rank mod p
-proves that the block has no kernel.  Every other block takes the exact path.
+Rank mod the prime p = 2^31 - 1 is at most the rank over Q, so full column
+rank mod p proves that a block has no kernel; every other block takes the
+exact path.  Many blocks take one stacked elimination: blocks of similar
+width share a (B, R, W) numpy int64 array, the narrower padded with unit
+columns that add exactly the padding to their rank, and one elimination
+over the array gives each block its verdict.
+
+A caller may also label each column and each row with (level, group).  If
+every entry of a row lies in a column of the row's own label or of a lower
+level, the matrix is block lower triangular, with one diagonal block per
+label, and it has full column rank when every diagonal block has: the
+part of a kernel vector on the lowest level where it is nonzero lies in
+the kernel of that level's diagonal blocks.  So the certificate checks the
+order in one pass over the nonzeros, splits the diagonal blocks into
+connected pieces and runs the stacked elimination on all of them.  If
+every piece passes, the kernel is empty.  Otherwise only the components
+that hold a failed piece take the exact path, since a component is block
+triangular with its own pieces on the diagonal.  If the order check
+fails, the matrix takes the unlabelled path.
 
 The exact path is division-free over the integers.  Each row, in order, is
 made a primitive integer row and inserted into a table {leading column:
@@ -29,11 +44,12 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 SparseRow = Dict[int, int]
+Labels = Tuple[Sequence[Tuple[int, Hashable]], Sequence[Tuple[int, Hashable]]]
 
 PIVOT_RULE = "first-nonzero"
 
@@ -69,26 +85,58 @@ def _blocks(rows: Sequence[SparseRow], ncols: int) -> List[Tuple[List[int], List
     return list(blocks.values())
 
 
-def _full_rank_mod_p(rows: Sequence[SparseRow], cols: Sequence[int]) -> bool:
-    """Whether the block has full column rank mod PRIME (so no kernel over Q)."""
-    if len(rows) < len(cols):
-        return False
-    index = {c: j for j, c in enumerate(cols)}
-    a = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            # numpy would truncate a Fraction stored here; index() rejects it.
-            a[i, index[c]] = operator.index(v) % PRIME
-    for j in range(len(cols)):
-        nonzero = np.flatnonzero(a[j:, j])
-        if not nonzero.size:
-            return False
-        if nonzero[0]:
-            a[[j, j + nonzero[0]]] = a[[j + nonzero[0], j]]
-        a[j, j:] = a[j, j:] * pow(int(a[j, j]), -1, PRIME) % PRIME
-        below = j + nonzero[1:]
-        a[below, j:] = (a[below, j:] - a[below, j:j + 1] * a[j, j:]) % PRIME
-    return True
+def _stacked_full_rank(pieces: Sequence[Tuple[List[int], List[SparseRow]]]) -> List[bool]:
+    """Whether each (columns, rows) piece has full column rank mod PRIME.
+
+    A piece with fewer rows than columns fails at once.  The others are
+    grouped by the bit length of their width into (B, R, W) int64 stacks,
+    W the widest; a piece of width w < W gets W - w unit columns, each with
+    a row of its own, which adds exactly W - w to its rank.  Column j is
+    eliminated in every piece at once: the first row with a nonzero entry
+    there is the pivot, each other such row r becomes
+    pivot * r - r[j] * pivot row (no inverse; entries stay below 2^31, so
+    products fit), and the pivot row is cleared.  A piece passes when
+    every column finds a pivot.
+    """
+    verdicts = [False] * len(pieces)
+    classes: Dict[int, List[int]] = {}
+    for i, (cols, rows) in enumerate(pieces):
+        if len(rows) >= len(cols):
+            classes.setdefault(len(cols).bit_length(), []).append(i)
+    for members in classes.values():
+        width = max(len(pieces[i][0]) for i in members)
+        height = max(len(pieces[i][1]) + width - len(pieces[i][0]) for i in members)
+        a = np.zeros((len(members), height, width), dtype=np.int64)
+        for b, i in enumerate(members):
+            cols, rows = pieces[i]
+            index = {c: j for j, c in enumerate(cols)}
+            at: List[int] = []  # flat positions in the piece's (R, W) slice
+            values: List[int] = []
+            for r, row in enumerate(rows):
+                at += [r * width + index[c] for c in row]
+                # numpy would truncate a Fraction stored here; index() rejects it.
+                values += [operator.index(v) % PRIME for v in row.values()]
+            at += [(len(rows) - len(cols) + j) * width + j for j in range(len(cols), width)]
+            values += [1] * (width - len(cols))
+            a[b].flat[at] = values
+        stack = np.arange(len(members))
+        passed = np.ones(len(members), dtype=bool)
+        for j in range(width):
+            nonzero = a[:, :, j] != 0
+            pivot = nonzero.argmax(axis=1)
+            passed &= nonzero[stack, pivot]
+            if not passed.any():
+                break
+            nonzero[stack, pivot] = False
+            row = a[stack, pivot, j:][:, None, :]
+            a[stack, pivot, j:] = 0
+            below = np.flatnonzero(nonzero.any(axis=0))
+            if below.size:
+                lower = a[:, below, j:]
+                a[:, below, j:] = (lower * row[:, :, :1] - lower[:, :, :1] * row) % PRIME
+        for b, i in enumerate(members):
+            verdicts[i] = bool(passed[b])
+    return verdicts
 
 
 def _primitive(row: SparseRow) -> SparseRow:
@@ -134,19 +182,56 @@ def _exact_kernel(rows: Sequence[SparseRow], cols: Sequence[int]) -> Tuple[List[
     return vectors, len(pivots)
 
 
+def _diagonal_pieces(
+    rows: Sequence[SparseRow], ncols: int, labels: Labels
+) -> Optional[List[Tuple[List[int], List[SparseRow]]]]:
+    """The connected pieces of the diagonal blocks, or None if an entry lies above them.
+
+    One pass over the nonzeros: an entry in a column of the row's own label
+    belongs to the diagonal block of that label; one in a column of a lower
+    level lies below the diagonal; any other entry breaks the order.
+    """
+    col_labels, row_labels = labels
+    diagonal = []
+    for row, label in zip(rows, row_labels):
+        level = label[0]
+        own = {}
+        for c, v in row.items():
+            col_label = col_labels[c]
+            if col_label == label:
+                own[c] = v
+            elif col_label[0] >= level:
+                return None
+            else:  # never stored, but rows are ints on every path
+                operator.index(v)
+        diagonal.append(row if len(own) == len(row) else own)
+    return _blocks(diagonal, ncols)
+
+
 def sparse_kernel_basis(
-    rows: Sequence[SparseRow], ncols: int
+    rows: Sequence[SparseRow], ncols: int, labels: Optional[Labels] = None
 ) -> Tuple[List[Tuple[Fraction, ...]], int]:
-    """Kernel basis and rank of the matrix given as sparse integer rows."""
+    """Kernel basis and rank of the matrix given as sparse integer rows.
+
+    labels, if given, is (column labels, row labels), each a (level, group)
+    pair, for the block-triangular certificate of the module docstring.
+    """
+    pieces = _diagonal_pieces(rows, ncols, labels) if labels is not None else None
+    if pieces is not None:
+        verdicts = _stacked_full_rank(pieces)
+        if all(verdicts):
+            return [], ncols
+        failed = {cols[0] for (cols, _), passed in zip(pieces, verdicts) if not passed}
+        exact = [b for b in _blocks(rows, ncols) if not failed.isdisjoint(b[0])]
+    else:
+        blocks = _blocks(rows, ncols)
+        exact = [b for b, passed in zip(blocks, _stacked_full_rank(blocks)) if not passed]
     vectors: List[Dict[int, Fraction]] = []
-    rank = 0
-    for cols, block in _blocks(rows, ncols):
-        if _full_rank_mod_p(block, cols):
-            rank += len(cols)
-        else:
-            block_vectors, block_rank = _exact_kernel(block, cols)
-            vectors += block_vectors
-            rank += block_rank
+    rank = ncols
+    for cols, block in exact:
+        block_vectors, block_rank = _exact_kernel(block, cols)
+        vectors += block_vectors
+        rank -= len(cols) - block_rank
     # The free column of a canonical vector is its largest column.
     vectors.sort(key=max)
     zero = Fraction(0)

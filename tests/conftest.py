@@ -52,7 +52,7 @@ def model_fields(tag, k):
 def kernel_vectors(fields, m):
     """The canonical degree-m kernel vectors that engine.kernel_basis turns into polynomials."""
     system = assemble_system(fields, m)
-    return [list(v) for v in sparse_kernel_basis(system.rows, system.ncols)[0]]
+    return [list(v) for v in sparse_kernel_basis(system.rows, system.ncols, system.labels)[0]]
 
 
 def drift_entry(report, name):

@@ -79,7 +79,7 @@ class TestFind:
 
     def test_failed_soundness_recheck_is_one_error_line(self, capsys, monkeypatch):
         # A kernel vector outside the kernel is a wrong answer, not a usage error.
-        def wrong_kernel(rows, ncols):
+        def wrong_kernel(rows, ncols, labels=None):
             return [tuple(Fraction(int(j == 0)) for j in range(ncols))], ncols - 1
 
         monkeypatch.setattr(engine, "sparse_kernel_basis", wrong_kernel)
@@ -334,9 +334,10 @@ class TestReport:
 
 
 class TestBrokenModularCertificate:
-    # A mod-p test that calls every block full rank empties every kernel. Types I
-    # and II have integrals at each degree, so their runs must then exit 2; IX has
-    # none, so its run still passes and the cases stay told apart.
+    # A mod-p test that calls every piece full rank empties every kernel, on the
+    # filtration's diagonal pieces and on the unlabelled rank comparisons alike.
+    # Types I and II have integrals at each degree, so their runs must then exit
+    # 2; IX has none, so its run still passes and the cases stay told apart.
     @pytest.mark.parametrize("argv, code", [
         (["find", "--model", "I", "--max-degree", "3"], 2),
         (["find", "--model", "II", "--max-degree", "3"], 2),
@@ -345,7 +346,7 @@ class TestBrokenModularCertificate:
         (["find", "--model", "IX", "--max-degree", "3"], 0),
     ])
     def test_cannot_hide_a_kernel(self, capsys, monkeypatch, argv, code):
-        monkeypatch.setattr(nullspace, "_full_rank_mod_p", lambda rows, cols: True)
+        monkeypatch.setattr(nullspace, "_stacked_full_rank", lambda pieces: [True] * len(pieces))
         assert run(capsys, argv)[0] == code
 
 
@@ -361,8 +362,8 @@ class TestRepeatedKernelVector:
     def test_is_a_mismatch(self, capsys, monkeypatch, argv):
         kernel = engine.sparse_kernel_basis
 
-        def repeating(rows, ncols):
-            vectors, rank = kernel(rows, ncols)
+        def repeating(rows, ncols, labels=None):
+            vectors, rank = kernel(rows, ncols, labels)
             if len(vectors) >= 3:
                 vectors[1] = vectors[0]
             return vectors, rank

@@ -221,7 +221,7 @@ class TestKernelContents:
         kernel_basis([X], 3)
 
         # ... and raises on a vector that is not in it
-        def wrong_kernel(rows, ncols):
+        def wrong_kernel(rows, ncols, labels=None):
             return [tuple(Fraction(int(j == 0)) for j in range(ncols))], ncols - 1
 
         monkeypatch.setattr(engine, "sparse_kernel_basis", wrong_kernel)
@@ -234,7 +234,7 @@ class TestKernelContents:
         columns = enumerate_monomials(6, 1)
         x4_minus_x5 = tuple(Fraction({3: 1, 4: -1}.get(j, 0)) for j in range(len(columns)))
         assert not lie_derivative(fields[0], engine._vector_to_poly(x4_minus_x5, columns))
-        monkeypatch.setattr(engine, "sparse_kernel_basis", lambda rows, ncols: ([x4_minus_x5], 5))
+        monkeypatch.setattr(engine, "sparse_kernel_basis", lambda rows, ncols, labels=None: ([x4_minus_x5], 5))
         with pytest.raises(SoundnessError):
             kernel_basis(fields, 1)
 

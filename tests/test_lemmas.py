@@ -174,9 +174,9 @@ def test_lemma_rows_are_ints(solve, monkeypatch):
     # Each builder scales its images by d itself; nullspace takes int rows only.
     seen, real = [], engine.sparse_kernel_basis
 
-    def capture(rows, ncols):
+    def capture(rows, ncols, labels=None):
         seen.extend(rows)
-        return real(rows, ncols)
+        return real(rows, ncols, labels)
 
     monkeypatch.setattr(engine, "sparse_kernel_basis", capture)
     solve()

@@ -4,8 +4,17 @@ from math import lcm
 
 import pytest
 
-from bianchi_integrals.nullspace import PIVOT_RULE, sparse_kernel_basis
+from bianchi_integrals.engine import assemble_system
+from bianchi_integrals.nullspace import (
+    PIVOT_RULE,
+    PRIME,
+    _diagonal_pieces,
+    _stacked_full_rank,
+    sparse_kernel_basis,
+)
+from bianchi_integrals.vectorfields import BIANCHI_TABLE
 
+from conftest import model_fields
 from oracle import dense_kernel, dense_rank
 
 
@@ -166,12 +175,162 @@ def test_full_rank_over_q_but_not_mod_p_falls_back():
     assert basis == []
 
 
-@pytest.mark.parametrize("rows, ncols", [
-    ([{0: Fraction(1, 2)}, {0: 1}], 1),  # a tall block: the mod-p path
-    ([{0: Fraction(1, 2), 1: 1}], 2),  # a wide block: the exact path
+@pytest.mark.parametrize("rows, ncols, labels", [
+    ([{0: Fraction(1, 2)}, {0: 1}], 1, None),  # a tall block: the mod-p path
+    ([{0: Fraction(1, 2), 1: 1}], 2, None),  # a wide block: the exact path
+    # below the diagonal of a labelled system, where no entry is stored
+    ([{0: 1}, {0: Fraction(1, 2), 1: 1}], 2, ([(0, "a"), (1, "b")], [(0, "a"), (1, "b")])),
 ])
-def test_fraction_entry_raises_type_error(rows, ncols):
+def test_fraction_entry_raises_type_error(rows, ncols, labels):
     # Stored into the int64 array of the mod-p path, numpy would truncate a
     # Fraction and so reduce another matrix; the rows must be integers.
     with pytest.raises(TypeError):
-        sparse_kernel_basis(rows, ncols)
+        sparse_kernel_basis(rows, ncols, labels)
+
+
+# -- the block-triangular certificate -------------------------------------------
+
+
+def _labelled_system(rng, above):
+    """A random block lower-triangular system: (matrix, labels, whether an
+    entry lies above the diagonal blocks), with one such entry if `above`
+    and some other group allows it.
+
+    Each group has a level and a random diagonal block, singular at random
+    and at times with fewer rows than columns; rows also get random entries
+    in the columns of lower levels.  Rows and columns are shuffled.
+    """
+    groups = [(rng.randint(0, 3), g) for g in range(rng.randint(1, 5))]
+    shapes = [(rng.randint(0, 5), rng.randint(1, 4)) for _ in groups]
+    ncols = sum(w for _, w in shapes)
+    order = list(range(ncols))
+    rng.shuffle(order)
+    col_labels, cols_of, start = [None] * ncols, [], 0
+    for label, (_, width) in zip(groups, shapes):
+        cols_of.append(order[start:start + width])
+        for c in cols_of[-1]:
+            col_labels[c] = label
+        start += width
+    matrix, row_labels = [], []
+    for label, cols, (nrows, width) in zip(groups, cols_of, shapes):
+        lower = [c for c in range(ncols) if col_labels[c][0] < label[0]]
+        for brow in _random_block(rng, nrows, width):
+            row = [Fraction(0)] * ncols
+            for c, v in zip(cols, brow):
+                row[c] = v
+            for c in rng.sample(lower, min(len(lower), rng.randint(0, 3))):
+                row[c] = Fraction(rng.randint(-9, 9))
+            matrix.append(row)
+            row_labels.append(label)
+    # a column of another group at the row's level or above
+    pairs = [(i, c) for i, label in enumerate(row_labels) for c in range(ncols)
+             if col_labels[c] != label and col_labels[c][0] >= label[0]]
+    above = above and bool(pairs)
+    if above:
+        i, c = rng.choice(pairs)
+        matrix[i][c] = Fraction(rng.choice([-3, -1, 1, 2]))
+    shuffled = list(range(len(matrix)))
+    rng.shuffle(shuffled)
+    return [matrix[i] for i in shuffled], (col_labels, [row_labels[i] for i in shuffled]), above
+
+
+def test_labelled_systems_match_oracle_random():
+    rng = random.Random(26)
+    seen = set()
+    for trial in range(300):
+        matrix, labels, above = _labelled_system(rng, trial % 3 == 0)
+        ncols = len(labels[0])
+        rows = to_sparse(matrix)
+        pieces = _diagonal_pieces(rows, ncols, labels)
+        assert (pieces is None) == above
+        basis, rank = sparse_kernel_basis(rows, ncols, labels)
+        assert rank == dense_rank(matrix)
+        assert [list(v) for v in basis] == dense_kernel(matrix, ncols)
+        if pieces is not None:
+            seen.add((all(_stacked_full_rank(pieces)), rank == ncols))
+    # full rank certified, singular pieces with and without a kernel
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_entry_above_the_diagonal_fails_the_order_check():
+    # Each diagonal block alone is [1], but the entry of row 0 in column 1
+    # lies above them, and the whole matrix is singular.
+    labels = ([(1, "a"), (2, "b")], [(1, "a"), (2, "b")])
+    rows = [{0: 1, 1: 1}, {0: 1, 1: 1}]
+    assert _diagonal_pieces(rows, 2, labels) is None
+    assert sparse_kernel_basis(rows, 2, labels) == ([(Fraction(-1), Fraction(1))], 1)
+    assert dense_rank([[1, 1], [1, 1]]) == 1
+
+
+@pytest.mark.parametrize("rows, rank", [
+    # group "a" has no rows, but the rows of "b" below it fix column 0
+    ([{0: 1, 1: 1}, {1: 1}], 2),
+    # group "a" is singular and the kernel reaches into group "b"
+    ([{0: 2, 1: 1}], 1),
+])
+def test_singular_diagonal_block_falls_back(rows, rank):
+    labels = ([(1, "a"), (2, "b")], [(2, "b")] * len(rows))
+    pieces = _diagonal_pieces(rows, 2, labels)
+    assert pieces is not None and not all(_stacked_full_rank(pieces))
+    matrix = [[Fraction(row.get(c, 0)) for c in range(2)] for row in rows]
+    basis, got = sparse_kernel_basis(rows, 2, labels)
+    assert got == rank == dense_rank(matrix)
+    assert [list(v) for v in basis] == dense_kernel(matrix, 2)
+
+
+def _rank_mod_p(matrix):
+    """Rank mod PRIME by textbook elimination on Python ints."""
+    work = [[v % PRIME for v in row] for row in matrix]
+    rank = 0
+    for c in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(rank, len(work)) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = pow(work[rank][c], -1, PRIME)
+        for i in range(rank + 1, len(work)):
+            f = work[i][c] * inv
+            work[i] = [(a - f * b) % PRIME for a, b in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+def test_stacked_verdicts_match_rank_mod_p_per_piece_random():
+    # Pieces of many widths share a stack, so the narrower ones are padded;
+    # some are rank deficient, some have fewer rows than columns, and some
+    # have full rank over Q but not mod PRIME.
+    rng = random.Random(31)
+    for trial in range(40):
+        pieces, dense = [], []
+        first = 0
+        for _ in range(rng.randint(1, 12)):
+            width = rng.randint(1, 9)
+            nrows = rng.randint(max(0, width - 2), width + 4)
+            matrix = [[rng.choice([0, 0, rng.randint(-9, 9), rng.randint(-2**40, 2**40)])
+                       for _ in range(width)] for _ in range(nrows)]
+            if nrows and width >= 2 and rng.random() < 0.4:
+                a, b = rng.sample(range(width), 2)
+                for row in matrix:
+                    row[b] = 3 * row[a]
+                if rng.random() < 0.5:  # independent over Q, not mod PRIME
+                    matrix[0][b] += PRIME
+            cols = list(range(first, first + width))
+            first += width
+            pieces.append((cols, [{c: v for c, v in zip(cols, row) if v} for row in matrix]))
+            dense.append(matrix)
+        verdicts = _stacked_full_rank(pieces)
+        assert verdicts == [_rank_mod_p(m) == len(cols) for m, (cols, _) in zip(dense, pieces)]
+
+
+@pytest.mark.parametrize("tag", sorted(BIANCHI_TABLE))
+@pytest.mark.parametrize("k", [Fraction(1, 2), None], ids=["k=1/2", "symbolic"])
+def test_certified_kernels_of_the_models(tag, k):
+    # The order holds on every system, and the labelled kernel is the
+    # unlabelled one.  TestKernelVsOracle holds both to the dense oracle up to
+    # degree 3; from degree 5 on the oracle takes minutes a system.
+    fields = model_fields(tag, k)
+    for m in range(1, 7):
+        system = assemble_system(fields, m)
+        assert _diagonal_pieces(system.rows, system.ncols, system.labels) is not None
+        assert (sparse_kernel_basis(system.rows, system.ncols, system.labels)
+                == sparse_kernel_basis(system.rows, system.ncols))
