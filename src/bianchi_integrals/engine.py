@@ -5,13 +5,20 @@ assembled as an exact linear system whose kernel is the space of degree-m
 polynomial first integrals.  A model gives one field per k it is built
 at, two at symbolic k.  X(P) is affine in k, so it is zero for every k
 exactly when it is zero at both k of SYMBOLIC_K: the kernel of the two
-systems stacked is the symbolic kernel.  Its entries are Python ints.
-Kernel bases are recomputed canonically and re-verified against the Lie
-derivative of every field.  The expected degree-m kernel is the span of
-the products of the model's known integrals whose degrees sum to m; a
-kernel matches it when rank(products) = rank(kernel) = rank(products and
-kernel) = the kernel's length, which also rules out a repeated or
-dependent vector.
+systems stacked is the symbolic kernel.  That is the kernel of any basis
+of the span of X(0) and X(1/2), so the system stacks the sparsest pair
+known: X(1) = 2 X(1/2) - X(0), which has no (k-1)/4 terms, and
+V = d/dx4 + d/dx5 + d/dx6.  X(1/2) - X(0) = (1/8) F (0, 0, 0, 1, 1, 1) is
+G V with G = F/8, and G V(P) = 0 exactly when V(P) = 0, as Q[x] has no
+zero divisors.  That factorisation is checked on the fields themselves;
+where it fails, the difference stays the second part.  The entries are
+Python ints.  Kernel bases are recomputed canonically and re-verified, in
+integers, against the Lie derivative of every field the model is built
+at, so a part that lets in a vector outside the symbolic kernel raises a
+SoundnessError.  The expected degree-m kernel is the span of the products
+of the model's known integrals whose degrees sum to m; a kernel matches it
+when rank(products) = rank(kernel) = rank(products and kernel) = the
+kernel's length, which also rules out a repeated or dependent vector.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .coefficients import K_MINUS_1_OVER_2, K_MINUS_1_OVER_4
 from .multipoly import Monomial, MultiPoly, monomial_key
-from .nullspace import PIVOT_RULE, SparseRow, sparse_kernel_basis
+from .nullspace import PIVOT_RULE, SparseRow, echelon, sparse_kernel_basis
 from .vectorfields import (
     BIANCHI_TABLE,
     NVARS,
@@ -96,26 +103,60 @@ def _rows(columns: Iterable[Sequence[MultiPoly]]) -> Tuple[List[Monomial], List[
     return [mono for mono, _ in keys], [rowmap[k] for k in keys]
 
 
+def _direction(D: Field) -> Field:
+    """The constant field V with D = G V for a polynomial G, if there is
+    one, else D itself; both have the kernel of D.
+
+    D is G V exactly when every nonzero component is a rational multiple
+    of one polynomial G, the first of them, and V holds those multiples.
+    Then D(P) = G V(P), which is 0 exactly when V(P) is.
+    """
+    nonzero = [comp for comp in D if comp]
+    if not nonzero:
+        return D
+    G = nonzero[0]
+    mono, g = next(iter(G.terms.items()))
+    scales = [Fraction(comp.terms.get(mono, 0)) / g for comp in D]
+    if any(comp.terms != {m: s * c for m, c in G.terms.items() if s}
+           for comp, s in zip(D, scales)):
+        return D
+    return tuple(MultiPoly.constant(len(D), s) for s in scales)
+
+
 def assemble_system(fields: Sequence[Field], m: int) -> LinearSystem:
     """Linear system whose kernel is {degree-m homogeneous first integrals of every field}.
 
-    The parts X_0 and X_f - X_0 have the common kernel of the fields, and
-    X_f - X_0 keeps only the terms that differ, so its rows fill in less
-    under elimination.  Scaled by d, the lcm of their denominators, each
-    part gives one Lie derivative per ansatz monomial: each row is d times
-    a row of that part's system, so it has the same primitive integer row.
+    One field is its own part.  Two fields X_0, X_1 have the common kernel
+    of any basis of their span; the parts are X_1 + (X_1 - X_0), which is
+    X(1) for the fields at SYMBOLIC_K = (0, 1/2), and _direction(X_1 - X_0),
+    which is d/dx4 + d/dx5 + d/dx6 there and the difference itself for a
+    pair where the factorisation check fails.  At symbolic k both parts
+    keep the x1..x3 exponent of a monomial or raise it by 2, as the
+    filtration labels ask.  Scaled by d, the lcm of their denominators,
+    each part gives one Lie derivative per ansatz monomial: each row is d
+    times a row of that part's system, so it has the same primitive
+    integer row.  No output names the parts.
     """
     if m < 1:
         raise ValueError("ansatz degree must be >= 1")
-    X0 = fields[0]
-    basis = enumerate_monomials(len(X0), m)
-    parts = [X0] + [tuple(b - a for a, b in zip(X0, X)) for X in fields[1:]]
+    parts = list(fields)
+    if len(parts) == 2:
+        X0, X1 = parts
+        D = tuple(b - a for a, b in zip(X0, X1))
+        parts = [tuple(b + c for b, c in zip(X1, D)), _direction(D)]
+    basis = enumerate_monomials(len(parts[0]), m)
     d = lcm(*(c.denominator for X in parts for comp in X for c in comp.terms.values()))
     parts = [tuple(comp.map_coefficients(lambda c: int(c * d)) for comp in X) for X in parts]
     # A generator, so each column's images are dropped once its rows are read.
-    outputs, rows = _rows([lie_derivative(X, MultiPoly(len(X0), {mono: 1})) for X in parts]
+    outputs, rows = _rows([lie_derivative(X, MultiPoly(len(X), {mono: 1})) for X in parts]
                           for mono in basis)
     return LinearSystem(tuple(basis), outputs, rows)
+
+
+def _cleared(polys: Sequence[MultiPoly]) -> List[MultiPoly]:
+    """The polynomials times the lcm of all their denominators, with int coefficients."""
+    d = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return [p.map_coefficients(lambda c: int(c * d)) for p in polys]
 
 
 def _vector_to_poly(vec: Sequence[Fraction], columns: Sequence[Monomial]) -> MultiPoly:
@@ -151,9 +192,12 @@ def kernel_basis(fields: Sequence[Field], m: int) -> List[MultiPoly]:
     system = assemble_system(fields, m)
     vectors, _rank = sparse_kernel_basis(system.rows, system.ncols, system.labels)
     basis = [_vector_to_poly(v, system.columns) for v in vectors]
+    # In integers: d*X(e*P) = d*e*X(P) with d, e > 0, so the verdict is the same.
+    integral = [_cleared(X) for X in fields]
     for poly in basis:
-        for X in fields:
-            if lie_derivative(X, poly):
+        (scaled,) = _cleared([poly])
+        for X in integral:
+            if lie_derivative(X, scaled):
                 raise SoundnessError("kernel polynomial fails annihilation re-check: %s" % poly)
     return basis
 
@@ -174,15 +218,10 @@ def _products(generators: Sequence[MultiPoly], m: int) -> List[MultiPoly]:
 
 
 def _rank(polys: Sequence[MultiPoly]) -> int:
-    """Exact rank of the polynomials over Q: each, cleared of denominators,
-    is one column of _rows.  An empty set has rank 0 and needs no elimination."""
-    if not polys:
-        return 0
-    columns = []
-    for p in polys:
-        d = lcm(*(c.denominator for c in p.terms.values()))
-        columns.append([p.map_coefficients(lambda c: int(c * d))])
-    return sparse_kernel_basis(_rows(columns)[1], len(columns))[1]
+    """Exact rank of the polynomials over Q: the number of pivots of their
+    echelon, each cleared of denominators and keyed by monomial.  The sets
+    are small, so a rank mod p would not pay for itself."""
+    return len(echelon([_cleared([p])[0].terms for p in polys]))
 
 
 def degree_sweep(model: BianchiModel, m_max: int) -> dict:

@@ -24,19 +24,23 @@ order in one pass over the nonzeros, splits the diagonal blocks into
 connected pieces and runs the stacked elimination on all of them.  If
 every piece passes, the kernel is empty.  Otherwise only the components
 that hold a failed piece take the exact path, since a component is block
-triangular with its own pieces on the diagonal.  If the order check
-fails, the matrix takes the unlabelled path.
+triangular with its own pieces on the diagonal; the union-find that split
+the pieces goes on over the entries below the diagonal to join them into
+components.  If the order check fails, the matrix takes the unlabelled
+path.
 
-The exact path is division-free over the integers.  Each row, in order, is
-made a primitive integer row and inserted into a table {leading column:
-pivot row}: while its leading column has a pivot, it is cross-multiplied
-with that pivot and divided by its content.  It becomes the pivot of the
-first free leading column it reaches, or vanishes.  So the pivot of a
-column is the first row that still has a nonzero there once the earlier
-columns are eliminated: first-nonzero pivoting, with the same integers as a
-sweep over the columns.  Back-substitution then gives the canonical reduced
-echelon kernel basis: one vector per free column, with a 1 at that free
-column and 0 at every other free column.
+The exact path is division-free over the integers.  Each row, sparsest
+first, is made a primitive integer row and inserted into a table {leading
+column: pivot row}: while its leading column has a pivot, it is
+cross-multiplied with that pivot and divided by its content.  It becomes
+the pivot of the first free leading column it reaches, or vanishes.  So
+the pivot of a column is the first row that still has a nonzero there once
+the earlier columns are eliminated: first-nonzero pivoting, with the same
+integers as a sweep over the columns.  Back-substitution then gives the
+canonical reduced echelon kernel basis: one vector per free column, with a
+1 at that free column and 0 at every other free column.  The free columns
+are those that lead no row of any echelon form of the row space, so the
+basis does not depend on the order the rows are inserted in.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,33 +60,46 @@ PIVOT_RULE = "first-nonzero"
 PRIME = 2**31 - 1
 
 
-def _blocks(rows: Sequence[SparseRow], ncols: int) -> List[Tuple[List[int], List[SparseRow]]]:
-    """Connected components of the row/column graph as (columns, rows) pairs.
+def _find(root: List[int], c: int) -> int:
+    """The root of c's tree in the union-find forest root, halving its path."""
+    while root[c] != c:
+        root[c] = root[root[c]]
+        c = root[c]
+    return c
 
-    Columns and rows keep their order within a block; blocks are ordered by
-    their first column.  Empty rows belong to no block.
-    """
-    root = list(range(ncols))
 
-    def find(c: int) -> int:
-        while root[c] != c:
-            root[c] = root[root[c]]
-            c = root[c]
-        return c
-
+def _join(root: List[int], rows: Iterable[Iterable[int]]) -> None:
+    """Join the columns of each row in the union-find forest root."""
     for row in rows:
         if row:
             first, *rest = row
-            first = find(first)
+            first = _find(root, first)
             for c in rest:
-                root[find(c)] = first
+                root[_find(root, c)] = first
+
+
+def _components(root: List[int], rows: Sequence[SparseRow]) -> List[Tuple[List[int], List[SparseRow]]]:
+    """The trees of the forest root as (columns, rows) pairs, each nonempty
+    row in the tree of its columns.
+
+    Columns and rows keep their order within a block; blocks are ordered by
+    their first column.
+    """
     blocks: Dict[int, Tuple[List[int], List[SparseRow]]] = {}
-    for c in range(ncols):
-        blocks.setdefault(find(c), ([], []))[0].append(c)
+    for c in range(len(root)):
+        blocks.setdefault(_find(root, c), ([], []))[0].append(c)
     for row in rows:
         if row:
-            blocks[find(next(iter(row)))][1].append(row)
+            blocks[_find(root, next(iter(row)))][1].append(row)
     return list(blocks.values())
+
+
+def _blocks(rows: Sequence[SparseRow], ncols: int) -> List[Tuple[List[int], List[SparseRow]]]:
+    """Connected components of the row/column graph as (columns, rows) pairs.
+    Empty rows belong to no block."""
+    root = list(range(ncols))
+    _join(root, rows)
+    return _components(root, rows)
 
 
 def _stacked_full_rank(pieces: Sequence[Tuple[List[int], List[SparseRow]]]) -> List[bool]:
@@ -145,8 +162,9 @@ def _primitive(row: SparseRow) -> SparseRow:
     return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
-def _echelon(rows: Sequence[SparseRow]) -> Dict[int, SparseRow]:
-    """Pivot table {leading column: primitive row} of the rows."""
+def echelon(rows: Sequence[SparseRow]) -> Dict[int, SparseRow]:
+    """Pivot table {leading column: primitive row} of the rows, inserted in
+    order; its size is their rank.  Any ordered keys serve as columns."""
     pivots: Dict[int, SparseRow] = {}
     for row in rows:
         row = _primitive({c: v for c, v in row.items() if v})
@@ -165,8 +183,12 @@ def _echelon(rows: Sequence[SparseRow]) -> Dict[int, SparseRow]:
 
 
 def _exact_kernel(rows: Sequence[SparseRow], cols: Sequence[int]) -> Tuple[List[Dict[int, Fraction]], int]:
-    """Canonical kernel vectors {column: value} and rank of one block."""
-    pivots = _echelon(rows)
+    """Canonical kernel vectors {column: value} and rank of one block.
+
+    The pivot columns, and so the canonical basis, depend only on the row
+    space, so the rows are inserted sparsest first, which fills in least.
+    """
+    pivots = echelon(sorted(rows, key=len))
     pivot_cols = sorted(pivots, reverse=True)
     vectors = []
     for free in (c for c in cols if c not in pivots):
@@ -182,20 +204,25 @@ def _exact_kernel(rows: Sequence[SparseRow], cols: Sequence[int]) -> Tuple[List[
     return vectors, len(pivots)
 
 
-def _diagonal_pieces(
-    rows: Sequence[SparseRow], ncols: int, labels: Labels
-) -> Optional[List[Tuple[List[int], List[SparseRow]]]]:
-    """The connected pieces of the diagonal blocks, or None if an entry lies above them.
+def _diagonal_split(
+    rows: Sequence[SparseRow], labels: Labels
+) -> Optional[Tuple[List[SparseRow], List[List[int]]]]:
+    """The diagonal blocks' rows and the links below them, or None if an
+    entry lies above them.
 
     One pass over the nonzeros: an entry in a column of the row's own label
     belongs to the diagonal block of that label; one in a column of a lower
-    level lies below the diagonal; any other entry breaks the order.
+    level lies below the diagonal; any other entry breaks the order.  Each
+    row with entries below the diagonal gives one link: their columns and
+    one of its diagonal columns, so that joining the links to the diagonal
+    pieces gives the components of the whole matrix.
     """
     col_labels, row_labels = labels
-    diagonal = []
+    diagonal, links = [], []
     for row, label in zip(rows, row_labels):
         level = label[0]
         own = {}
+        below = []
         for c, v in row.items():
             col_label = col_labels[c]
             if col_label == label:
@@ -204,8 +231,13 @@ def _diagonal_pieces(
                 return None
             else:  # never stored, but rows are ints on every path
                 operator.index(v)
-        diagonal.append(row if len(own) == len(row) else own)
-    return _blocks(diagonal, ncols)
+                below.append(c)
+        if below:
+            diagonal.append(own)
+            links.append(below + list(own)[:1])
+        else:
+            diagonal.append(row)
+    return diagonal, links
 
 
 def sparse_kernel_basis(
@@ -216,13 +248,18 @@ def sparse_kernel_basis(
     labels, if given, is (column labels, row labels), each a (level, group)
     pair, for the block-triangular certificate of the module docstring.
     """
-    pieces = _diagonal_pieces(rows, ncols, labels) if labels is not None else None
-    if pieces is not None:
+    split = _diagonal_split(rows, labels) if labels is not None else None
+    if split is not None:
+        diagonal, links = split
+        root = list(range(ncols))
+        _join(root, diagonal)
+        pieces = _components(root, diagonal)
         verdicts = _stacked_full_rank(pieces)
         if all(verdicts):
             return [], ncols
-        failed = {cols[0] for (cols, _), passed in zip(pieces, verdicts) if not passed}
-        exact = [b for b in _blocks(rows, ncols) if not failed.isdisjoint(b[0])]
+        _join(root, links)
+        failed = {_find(root, cols[0]) for (cols, _), passed in zip(pieces, verdicts) if not passed}
+        exact = [b for b in _components(root, rows) if _find(root, b[0][0]) in failed]
     else:
         blocks = _blocks(rows, ncols)
         exact = [b for b, passed in zip(blocks, _stacked_full_rank(blocks)) if not passed]

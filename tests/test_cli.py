@@ -88,6 +88,16 @@ class TestFind:
         assert err.startswith("bianchi: error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_dropping_the_direction_part_fails_the_recheck(self, capsys, monkeypatch):
+        # Without d/dx4 + d/dx5 + d/dx6 the system is that of X(1) alone, whose
+        # degree-2 kernel holds F.  F is no first integral of X(0), so the
+        # re-check against the model's own fields must stop find.
+        monkeypatch.setattr(engine, "_direction", lambda D: tuple(MultiPoly(len(D)) for _ in D))
+        code, out, err = run(capsys, ["find", "--model", "IX", "--k", "symbolic", "--max-degree", "2"])
+        assert (code, out) == (2, "")
+        F = vectorfields.build_F(1, 1, 1)
+        assert err == "bianchi: error: kernel polynomial fails annihilation re-check: %s\n" % F
+
 
 class TestVerify:
     @pytest.mark.parametrize("tag", ["I", "II", "VI0", "VII0", "VIII", "IX"])

@@ -64,16 +64,39 @@ class TestAssembleSystem:
         assert all(sum(mono) == 2 and f == 0 for mono, f in keys)
         assert _row_multiples(system.rows, rows) == {8}  # d clears (1/2 - 1)/4
 
-    def test_symbolic_model_stacks_the_field_at_0_and_the_difference(self):
-        fields = model_fields("IX", None)
-        system = assemble_system(fields, 1)
-        # The rows are 8 times those of X(0) and of X(1/2) - X(0), which is
-        # (1/8) F in components 4 to 6 and has fewer rows than X(1/2).
-        rows, keys = _part_rows(fields, system.columns)
-        assert {f for _, f in keys} == {0, 1}
-        assert _row_multiples(system.rows, rows) == {8}
-        assert len(_part_rows(fields[1:], system.columns)[0]) > sum(f for _, f in keys)
-        assert all(type(v) is int for row in system.rows for v in row.values())
+    @pytest.mark.parametrize("tag", sorted(BIANCHI_TABLE))
+    def test_symbolic_model_stacks_the_field_at_1_and_d4_d5_d6(self, tag):
+        fields = model_fields(tag, None)
+        for m in (1, 2, 3):
+            system = assemble_system(fields, m)
+            # 2 X(1/2) - X(0) = X(1), and X(1/2) - X(0) = (1/8) F (0, 0, 0, 1, 1, 1)
+            # gives d/dx4 + d/dx5 + d/dx6: both have int coefficients, so d = 1.
+            rows, keys = _part_rows(_expected_parts(tag, None), system.columns)
+            assert {f for _, f in keys} == {0, 1}
+            assert _row_multiples(system.rows, rows) == {1}
+            assert all(len(row) <= 3 for row, (_, f) in zip(rows, keys) if f == 1)
+            assert all(type(v) is int for row in system.rows for v in row.values())
+            # Far sparser than X(0) stacked with X(1/2) - X(0).
+            X0, X1 = fields
+            stacked, _ = _part_rows([X0, tuple(b - a for a, b in zip(X0, X1))], system.columns)
+            assert sum(map(len, system.rows)) < sum(map(len, stacked))
+
+    def test_a_difference_that_is_not_G_times_a_constant_field_stays_a_part(self):
+        # Type II at k = 0 and at k = 1/2 with x4^2 added to X_4: the
+        # difference is (0, 0, 0, F/8 + x4^2, F/8, F/8), no multiple of one
+        # polynomial, and x5 - x6 still annihilates both fields.
+        X0 = build_bianchi("II", Fraction(0))
+        x4 = MultiPoly.variable(6, 3)
+        X1 = tuple(comp + x4 * x4 if i == 3 else comp
+                   for i, comp in enumerate(build_bianchi("II", Fraction(1, 2))))
+        D = tuple(b - a for a, b in zip(X0, X1))
+        assert engine._direction(D) is D
+        for m in (1, 2, 3):
+            system = assemble_system([X0, X1], m)
+            rows, _ = _part_rows([tuple(b + c for b, c in zip(X1, D)), D], system.columns)
+            assert _row_multiples(system.rows, rows) == {8}
+            oracle_vectors, _ = oracle.kernel_oracle([X0, X1], m)
+            assert kernel_vectors([X0, X1], m) == oracle_vectors != []
 
     def test_rejects_degree_zero(self):
         with pytest.raises(ValueError):
@@ -98,10 +121,9 @@ class TestAssembleSystem:
         assert sorted(map(len, blocks)) == [226, 236]
 
 
-def _part_rows(fields, columns):
-    """Rows of the systems of X_0 and each X_f - X_0: their Lie derivative
-    images, keyed by part index."""
-    parts = [fields[0]] + [tuple(b - a for a, b in zip(fields[0], X)) for X in fields[1:]]
+def _part_rows(parts, columns):
+    """Rows of the systems of the parts: their Lie derivative images, keyed
+    by output monomial and part index."""
     rowmap = {}
     for j, mono in enumerate(columns):
         for f, X in enumerate(parts):
@@ -111,6 +133,14 @@ def _part_rows(fields, columns):
     return [rowmap[key] for key in keys], keys
 
 
+def _expected_parts(tag, k):
+    """The field at a fixed k; at symbolic k (None), X(1) and d/dx4 + d/dx5 + d/dx6."""
+    if k is not None:
+        return [build_bianchi(tag, k)]
+    zero, one = MultiPoly(6), MultiPoly.constant(6, 1)
+    return [build_bianchi(tag, Fraction(1)), (zero,) * 3 + (one,) * 3]
+
+
 def _row_multiples(int_rows, rows):
     """{int_rows[i][c] / rows[i][c]} over every entry, once both lists have the same row supports."""
     assert [row.keys() for row in int_rows] == [row.keys() for row in rows]
@@ -118,21 +148,23 @@ def _row_multiples(int_rows, rows):
 
 
 class TestIntegerAssembly:
-    """The system is assembled from the parts d*X_0, d*(X_f - X_0) in integer arithmetic."""
+    """The system is assembled in integer arithmetic from its parts times d:
+    the field at a fixed k, X(1) and d/dx4 + d/dx5 + d/dx6 at symbolic k."""
 
     @pytest.mark.parametrize("tag", sorted(BIANCHI_TABLE))
     @pytest.mark.parametrize("k", [Fraction(1, 2), Fraction(3, 7), Fraction(0), None])
     def test_integer_rows_with_the_kernel_of_the_rational_rows(self, tag, k):
         fields = model_fields(tag, k)
+        # d clears (k - 1)/4; the symbolic parts have int coefficients.
+        d = {Fraction(1, 2): 8, Fraction(3, 7): 7, Fraction(0): 4, None: 1}[k]
         for m in (1, 2, 3, 4):
             system = assemble_system(fields, m)
             assert all(type(v) is int for row in system.rows for v in row.values())
             # The rows of the parts themselves, in the same row order: each
-            # integer row is one common positive multiple d of its row.
-            rows, _ = _part_rows(fields, system.columns)
-            assert any(v.denominator > 1 for row in rows for v in row.values())
-            ratios = _row_multiples(system.rows, rows)
-            assert len(ratios) == 1 and ratios.pop() > 0
+            # integer row is d times its row.
+            rows, _ = _part_rows(_expected_parts(tag, k), system.columns)
+            assert any(v.denominator > 1 for row in rows for v in row.values()) == (k is not None)
+            assert _row_multiples(system.rows, rows) == {d}
             if m < 4:  # the dense oracle takes seconds at m = 4
                 basis, _ = sparse_kernel_basis(system.rows, system.ncols)
                 dense = [[row.get(c, 0) for c in range(system.ncols)] for row in rows]

@@ -4,11 +4,15 @@ from math import lcm
 
 import pytest
 
+from bianchi_integrals import nullspace
 from bianchi_integrals.engine import assemble_system
 from bianchi_integrals.nullspace import (
     PIVOT_RULE,
     PRIME,
-    _diagonal_pieces,
+    _blocks,
+    _components,
+    _diagonal_split,
+    _join,
     _stacked_full_rank,
     sparse_kernel_basis,
 )
@@ -234,6 +238,12 @@ def _labelled_system(rng, above):
     return [matrix[i] for i in shuffled], (col_labels, [row_labels[i] for i in shuffled]), above
 
 
+def _diagonal_pieces(rows, ncols, labels):
+    """The connected pieces of the diagonal blocks, or None if an entry lies above them."""
+    split = _diagonal_split(rows, labels)
+    return None if split is None else _blocks(split[0], ncols)
+
+
 def test_labelled_systems_match_oracle_random():
     rng = random.Random(26)
     seen = set()
@@ -257,7 +267,7 @@ def test_entry_above_the_diagonal_fails_the_order_check():
     # lies above them, and the whole matrix is singular.
     labels = ([(1, "a"), (2, "b")], [(1, "a"), (2, "b")])
     rows = [{0: 1, 1: 1}, {0: 1, 1: 1}]
-    assert _diagonal_pieces(rows, 2, labels) is None
+    assert _diagonal_split(rows, labels) is None
     assert sparse_kernel_basis(rows, 2, labels) == ([(Fraction(-1), Fraction(1))], 1)
     assert dense_rank([[1, 1], [1, 1]]) == 1
 
@@ -276,6 +286,71 @@ def test_singular_diagonal_block_falls_back(rows, rank):
     basis, got = sparse_kernel_basis(rows, 2, labels)
     assert got == rank == dense_rank(matrix)
     assert [list(v) for v in basis] == dense_kernel(matrix, 2)
+
+
+def test_failed_pieces_take_the_exact_path_by_their_components_random(monkeypatch):
+    # Joining the links below the diagonal to the pieces' union-find gives
+    # the components of the whole matrix, and exactly those that hold a
+    # failed piece reach the exact path.
+    rng = random.Random(27)
+    exact_calls = []
+
+    def recording_exact_kernel(rows, cols):
+        exact_calls.append((list(cols), list(rows)))
+        return exact_kernel(rows, cols)
+
+    exact_kernel = nullspace._exact_kernel
+    monkeypatch.setattr(nullspace, "_exact_kernel", recording_exact_kernel)
+    coupled = 0
+    for _ in range(300):
+        matrix, labels, _ = _labelled_system(rng, False)
+        ncols = len(labels[0])
+        rows = to_sparse(matrix)
+        diagonal, links = _diagonal_split(rows, labels)
+        pieces = _blocks(diagonal, ncols)
+        failed = [cols for (cols, _), passed in zip(pieces, _stacked_full_rank(pieces)) if not passed]
+        if not failed:
+            continue
+        root = list(range(ncols))
+        _join(root, diagonal)
+        _join(root, links)
+        components = _components(root, rows)
+        assert components == _blocks(rows, ncols)
+        exact_calls.clear()
+        basis, rank = sparse_kernel_basis(rows, ncols, labels)
+        assert exact_calls == [b for b in components
+                               if any(not set(cols).isdisjoint(b[0]) for cols in failed)]
+        assert rank == dense_rank(matrix)
+        assert [list(v) for v in basis] == dense_kernel(matrix, ncols)
+        coupled += any(len([p for p, _ in pieces if set(p) <= set(b[0])]) > 1 for b in exact_calls)
+    assert coupled > 100  # a failed piece joined below the diagonal to another piece
+
+
+def test_row_order_leaves_the_canonical_basis_random():
+    rng = random.Random(28)
+    for _ in range(100):
+        ncols = rng.randint(1, 8)
+        rank = rng.randint(0, ncols)
+        generators = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(rank)]
+        matrix = [[sum(rng.randint(-2, 2) * g[c] for g in generators) for c in range(ncols)]
+                  for _ in range(rng.randint(0, 10))]
+        rows = [{c: v for c, v in enumerate(row) if v} for row in matrix]
+        expected = sparse_kernel_basis(rows, ncols)
+        assert [list(v) for v in expected[0]] == dense_kernel(matrix, ncols)
+        for _ in range(4):
+            rng.shuffle(rows)
+            assert sparse_kernel_basis(rows, ncols) == expected
+
+
+def test_row_order_leaves_the_kernels_of_the_models():
+    for tag in ("I", "II"):
+        for m in (2, 3, 4):
+            system = assemble_system(model_fields(tag, None), m)
+            expected = sparse_kernel_basis(system.rows, system.ncols, system.labels)
+            order = list(range(system.nrows))
+            random.Random(m).shuffle(order)
+            labels = (system.labels[0], [system.labels[1][i] for i in order])
+            assert sparse_kernel_basis([system.rows[i] for i in order], system.ncols, labels) == expected
 
 
 def _rank_mod_p(matrix):
@@ -331,6 +406,6 @@ def test_certified_kernels_of_the_models(tag, k):
     fields = model_fields(tag, k)
     for m in range(1, 7):
         system = assemble_system(fields, m)
-        assert _diagonal_pieces(system.rows, system.ncols, system.labels) is not None
+        assert _diagonal_split(system.rows, system.labels) is not None
         assert (sparse_kernel_basis(system.rows, system.ncols, system.labels)
                 == sparse_kernel_basis(system.rows, system.ncols))
