@@ -132,10 +132,10 @@ def assemble_system(fields: Sequence[Field], m: int) -> LinearSystem:
     which is d/dx4 + d/dx5 + d/dx6 there and the difference itself for a
     pair where the factorisation check fails.  At symbolic k both parts
     keep the x1..x3 exponent of a monomial or raise it by 2, as the
-    filtration labels ask.  Scaled by d, the lcm of their denominators,
-    each part gives one Lie derivative per ansatz monomial: each row is d
-    times a row of that part's system, so it has the same primitive
-    integer row.  No output names the parts.
+    filtration labels ask.  Each part, cleared by _cleared, gives one Lie
+    derivative per ansatz monomial: a row belongs to one part and is a
+    positive multiple of a row of that part's system, so it has the same
+    primitive integer row.  No output names the parts.
     """
     if m < 1:
         raise ValueError("ansatz degree must be >= 1")
@@ -145,8 +145,7 @@ def assemble_system(fields: Sequence[Field], m: int) -> LinearSystem:
         D = tuple(b - a for a, b in zip(X0, X1))
         parts = [tuple(b + c for b, c in zip(X1, D)), _direction(D)]
     basis = enumerate_monomials(len(parts[0]), m)
-    d = lcm(*(c.denominator for X in parts for comp in X for c in comp.terms.values()))
-    parts = [tuple(comp.map_coefficients(lambda c: int(c * d)) for comp in X) for X in parts]
+    parts = [_cleared(X) for X in parts]
     # A generator, so each column's images are dropped once its rows are read.
     outputs, rows = _rows([lie_derivative(X, MultiPoly(len(X), {mono: 1})) for X in parts]
                           for mono in basis)
@@ -313,19 +312,17 @@ def _transport_kernel(linear: MultiPoly, k: Fraction, m: int,
     """The degree-m monomials g and the canonical kernel of the columns
     linear * g + (k-1)/4 F123 (g_4 + g_5 + g_6), one per g, then extra.
 
-    Every column is scaled by d, the lcm of the denominators of (k-1)/4 and
-    of linear, so the images are integral and the kernel stays the same.
+    One _cleared call scales linear, (k-1)/4 F123 and extra by one d, so
+    the images are integral and the kernel stays the same.
     """
-    c = K_MINUS_1_OVER_4(k)
-    d = lcm(c.denominator, *(v.denominator for v in linear.terms.values()))
-    linear = linear.map_coefficients(lambda v: int(d * v))
-    transport = (MultiPoly(NVARS),) * 3 + (int(d * c) * build_F(0, 0, 0),) * 3
+    linear, cF, *extra = _cleared([linear, K_MINUS_1_OVER_4(k) * build_F(0, 0, 0), *extra])
+    transport = (MultiPoly(NVARS),) * 3 + (cF,) * 3
     monos = [(0, 0, 0) + g for g in enumerate_monomials(3, m)]
     images = []
     for mono in monos:
         g = MultiPoly(NVARS, {mono: 1})
         images.append(linear * g + lie_derivative(transport, g))
-    images += [d * h for h in extra]
+    images += extra
     vectors, _ = sparse_kernel_basis(_rows(zip(images))[1], len(images))
     return monos, vectors
 

@@ -19,15 +19,16 @@ every entry of a row lies in a column of the row's own label or of a lower
 level, the matrix is block lower triangular, with one diagonal block per
 label, and it has full column rank when every diagonal block has: the
 part of a kernel vector on the lowest level where it is nonzero lies in
-the kernel of that level's diagonal blocks.  So the certificate checks the
-order in one pass over the nonzeros, splits the diagonal blocks into
-connected pieces and runs the stacked elimination on all of them.  If
-every piece passes, the kernel is empty.  Otherwise only the components
-that hold a failed piece take the exact path, since a component is block
-triangular with its own pieces on the diagonal; the union-find that split
-the pieces goes on over the entries below the diagonal to join them into
-components.  If the order check fails, the matrix takes the unlabelled
-path.
+the kernel of that level's diagonal blocks.  The order is checked in one
+pass over the nonzeros, which splits the rows into their diagonal entries
+and links below them.  A matrix with no labels, or one that fails the
+check, is its own diagonal with no links.  Every matrix then takes one
+pipeline: a union-find splits the diagonal into connected pieces, and
+the stacked elimination runs on all of them.  If every piece passes, the
+kernel is empty.  Otherwise the union-find goes on over the links to join
+the pieces into the components of the whole matrix, and only the
+components that hold a failed piece take the exact path, since a
+component is block triangular with its own pieces on the diagonal.
 
 The exact path is division-free over the integers.  Each row, sparsest
 first, is made a primitive integer row and inserted into a table {leading
@@ -92,14 +93,6 @@ def _components(root: List[int], rows: Sequence[SparseRow]) -> List[Tuple[List[i
         if row:
             blocks[_find(root, next(iter(row)))][1].append(row)
     return list(blocks.values())
-
-
-def _blocks(rows: Sequence[SparseRow], ncols: int) -> List[Tuple[List[int], List[SparseRow]]]:
-    """Connected components of the row/column graph as (columns, rows) pairs.
-    Empty rows belong to no block."""
-    root = list(range(ncols))
-    _join(root, rows)
-    return _components(root, rows)
 
 
 def _stacked_full_rank(pieces: Sequence[Tuple[List[int], List[SparseRow]]]) -> List[bool]:
@@ -246,23 +239,19 @@ def sparse_kernel_basis(
     """Kernel basis and rank of the matrix given as sparse integer rows.
 
     labels, if given, is (column labels, row labels), each a (level, group)
-    pair, for the block-triangular certificate of the module docstring.
+    pair; they choose only the diagonal and the links of the module docstring.
     """
     split = _diagonal_split(rows, labels) if labels is not None else None
-    if split is not None:
-        diagonal, links = split
-        root = list(range(ncols))
-        _join(root, diagonal)
-        pieces = _components(root, diagonal)
-        verdicts = _stacked_full_rank(pieces)
-        if all(verdicts):
-            return [], ncols
-        _join(root, links)
-        failed = {_find(root, cols[0]) for (cols, _), passed in zip(pieces, verdicts) if not passed}
-        exact = [b for b in _components(root, rows) if _find(root, b[0][0]) in failed]
-    else:
-        blocks = _blocks(rows, ncols)
-        exact = [b for b, passed in zip(blocks, _stacked_full_rank(blocks)) if not passed]
+    diagonal, links = split or (rows, [])
+    root = list(range(ncols))
+    _join(root, diagonal)
+    pieces = _components(root, diagonal)
+    verdicts = _stacked_full_rank(pieces)
+    if all(verdicts):
+        return [], ncols
+    _join(root, links)
+    failed = {_find(root, cols[0]) for (cols, _), passed in zip(pieces, verdicts) if not passed}
+    exact = [b for b in _components(root, rows) if _find(root, b[0][0]) in failed]
     vectors: List[Dict[int, Fraction]] = []
     rank = ncols
     for cols, block in exact:

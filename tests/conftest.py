@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from bianchi_integrals.engine import assemble_system
 from bianchi_integrals.multipoly import MultiPoly
-from bianchi_integrals.nullspace import sparse_kernel_basis
+from bianchi_integrals.nullspace import _components, _join, sparse_kernel_basis
 from bianchi_integrals.vectorfields import BianchiModel
 
 
@@ -34,6 +34,13 @@ def random_poly(rng, nvars, max_degree=3, max_terms=6, bits=8):
         if coeff:
             terms[tuple(mono)] = terms.get(tuple(mono), Fraction(0)) + coeff
     return MultiPoly(nvars, {m: c for m, c in terms.items() if c})
+
+
+def connected_blocks(rows, ncols):
+    """The connected blocks of the rows' row/column graph as (columns, rows) pairs."""
+    root = list(range(ncols))
+    _join(root, rows)
+    return _components(root, rows)
 
 
 def homogeneous_parts(p):

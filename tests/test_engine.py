@@ -18,7 +18,7 @@ from bianchi_integrals.engine import (
     kernel_basis,
 )
 from bianchi_integrals.multipoly import MultiPoly, monomial_key
-from bianchi_integrals.nullspace import _blocks, sparse_kernel_basis
+from bianchi_integrals.nullspace import sparse_kernel_basis
 from bianchi_integrals.vectorfields import (
     BIANCHI_TABLE,
     BianchiModel,
@@ -28,7 +28,7 @@ from bianchi_integrals.vectorfields import (
 )
 
 import oracle
-from conftest import kernel_vectors, model_fields
+from conftest import connected_blocks, kernel_vectors, model_fields
 
 K_SAMPLES = (Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10))
 
@@ -93,8 +93,12 @@ class TestAssembleSystem:
         assert engine._direction(D) is D
         for m in (1, 2, 3):
             system = assemble_system([X0, X1], m)
-            rows, _ = _part_rows([tuple(b + c for b, c in zip(X1, D)), D], system.columns)
-            assert _row_multiples(system.rows, rows) == {8}
+            rows, keys = _part_rows([tuple(b + c for b, c in zip(X1, D)), D], system.columns)
+            # Each part is cleared on its own: 2 X1 - X0 has int coefficients,
+            # and D needs 8 for its F/8.
+            for part, d in ((0, 1), (1, 8)):
+                at = [i for i, (_, f) in enumerate(keys) if f == part]
+                assert _row_multiples([system.rows[i] for i in at], [rows[i] for i in at]) == {d}
             oracle_vectors, _ = oracle.kernel_oracle([X0, X1], m)
             assert kernel_vectors([X0, X1], m) == oracle_vectors != []
 
@@ -110,7 +114,7 @@ class TestAssembleSystem:
         X = build_bianchi(tag, Fraction(1, 2))
         for m in range(1, 7):
             system = assemble_system([X], m)
-            blocks = sorted(sorted(cols) for cols, _ in _blocks(system.rows, system.ncols))
+            blocks = sorted(sorted(cols) for cols, _ in connected_blocks(system.rows, system.ncols))
             classes = {}
             for j, mono in enumerate(system.columns):
                 classes.setdefault(sum(mono[:3]) % 2, []).append(j)

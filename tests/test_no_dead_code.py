@@ -18,6 +18,11 @@ are exempt: the interpreter calls them.
 The scan still matches names, not bindings, so it cannot see a method whose
 name is also an attribute of something else (``args.degree`` hid
 ``KPoly.degree``), or a function that only calls itself.
+
+A second scan, module by module, checks that every name an import binds in
+a ``src/`` module occurs in that module as a ``Name`` node: an import the
+module does not use is left over from deleted code.  ``from __future__``
+imports are exempt, as they bind nothing.
 """
 
 import ast
@@ -41,6 +46,17 @@ class Pair:
     right: int
 
 right = Pair(1, 2).left
+"""
+
+IMPORT_CASE = """
+from __future__ import annotations
+
+import os.path
+from math import gcd, lcm
+from typing import Optional as Maybe
+
+def halve(a: Maybe[int]) -> int:
+    return gcd(a, 2)
 """
 
 # The kinds of use that count for each kind of definition.
@@ -101,6 +117,17 @@ def _unused(trees, defining):
     ]
 
 
+def _unused_imports(tree):
+    """Each name an import outside __future__ binds that the module never uses."""
+    bound = [alias.asname or alias.name.split(".", 1)[0]
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Import)
+             or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+             for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
 def test_every_definition_in_src_has_a_caller_outside_tests():
     defining, scanned = _sources()
     trees = {path: ast.parse(path.read_text(), str(path)) for path in scanned}
@@ -115,3 +142,14 @@ def test_a_method_named_like_a_local_is_caught():
 def test_a_dataclass_field_only_filled_positionally_is_caught():
     path = Path("case.py")
     assert _unused({path: ast.parse(FIELD_CASE)}, [path]) == ["case.py:Pair.right"]
+
+
+def test_every_import_in_src_is_used_in_its_module():
+    unused = ["%s:%s" % (path.name, name)
+              for path in sorted(PACKAGE.glob("*.py"))
+              for name in _unused_imports(ast.parse(path.read_text(), str(path)))]
+    assert unused == []
+
+
+def test_an_unused_import_is_caught():
+    assert _unused_imports(ast.parse(IMPORT_CASE)) == ["os", "lcm"]

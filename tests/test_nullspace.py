@@ -9,7 +9,6 @@ from bianchi_integrals.engine import assemble_system
 from bianchi_integrals.nullspace import (
     PIVOT_RULE,
     PRIME,
-    _blocks,
     _components,
     _diagonal_split,
     _join,
@@ -18,7 +17,7 @@ from bianchi_integrals.nullspace import (
 )
 from bianchi_integrals.vectorfields import BIANCHI_TABLE
 
-from conftest import model_fields
+from conftest import connected_blocks, model_fields
 from oracle import dense_kernel, dense_rank
 
 
@@ -241,7 +240,7 @@ def _labelled_system(rng, above):
 def _diagonal_pieces(rows, ncols, labels):
     """The connected pieces of the diagonal blocks, or None if an entry lies above them."""
     split = _diagonal_split(rows, labels)
-    return None if split is None else _blocks(split[0], ncols)
+    return None if split is None else connected_blocks(split[0], ncols)
 
 
 def test_labelled_systems_match_oracle_random():
@@ -291,7 +290,9 @@ def test_singular_diagonal_block_falls_back(rows, rank):
 def test_failed_pieces_take_the_exact_path_by_their_components_random(monkeypatch):
     # Joining the links below the diagonal to the pieces' union-find gives
     # the components of the whole matrix, and exactly those that hold a
-    # failed piece reach the exact path.
+    # failed piece reach the exact path.  Without labels the matrix is its
+    # own diagonal with no links, so its pieces are its components, and
+    # exactly the failed ones reach the exact path.
     rng = random.Random(27)
     exact_calls = []
 
@@ -301,29 +302,37 @@ def test_failed_pieces_take_the_exact_path_by_their_components_random(monkeypatc
 
     exact_kernel = nullspace._exact_kernel
     monkeypatch.setattr(nullspace, "_exact_kernel", recording_exact_kernel)
-    coupled = 0
+    coupled = unlabelled = 0
     for _ in range(300):
         matrix, labels, _ = _labelled_system(rng, False)
         ncols = len(labels[0])
         rows = to_sparse(matrix)
-        diagonal, links = _diagonal_split(rows, labels)
-        pieces = _blocks(diagonal, ncols)
-        failed = [cols for (cols, _), passed in zip(pieces, _stacked_full_rank(pieces)) if not passed]
-        if not failed:
-            continue
-        root = list(range(ncols))
-        _join(root, diagonal)
-        _join(root, links)
-        components = _components(root, rows)
-        assert components == _blocks(rows, ncols)
-        exact_calls.clear()
-        basis, rank = sparse_kernel_basis(rows, ncols, labels)
-        assert exact_calls == [b for b in components
-                               if any(not set(cols).isdisjoint(b[0]) for cols in failed)]
-        assert rank == dense_rank(matrix)
-        assert [list(v) for v in basis] == dense_kernel(matrix, ncols)
-        coupled += any(len([p for p, _ in pieces if set(p) <= set(b[0])]) > 1 for b in exact_calls)
+        for given in (labels, None):
+            diagonal, links = (rows, []) if given is None else _diagonal_split(rows, given)
+            pieces = connected_blocks(diagonal, ncols)
+            verdicts = _stacked_full_rank(pieces)
+            failed = [cols for (cols, _), passed in zip(pieces, verdicts) if not passed]
+            if not failed:
+                continue
+            root = list(range(ncols))
+            _join(root, diagonal)
+            _join(root, links)
+            components = _components(root, rows)
+            assert components == connected_blocks(rows, ncols)
+            exact_calls.clear()
+            basis, rank = sparse_kernel_basis(rows, ncols, given)
+            assert exact_calls == [b for b in components
+                                   if any(not set(cols).isdisjoint(b[0]) for cols in failed)]
+            assert rank == dense_rank(matrix)
+            assert [list(v) for v in basis] == dense_kernel(matrix, ncols)
+            if given is None:
+                assert exact_calls == [b for b, passed in zip(pieces, verdicts) if not passed]
+                unlabelled += 1
+            else:
+                coupled += any(len([p for p, _ in pieces if set(p) <= set(b[0])]) > 1
+                               for b in exact_calls)
     assert coupled > 100  # a failed piece joined below the diagonal to another piece
+    assert unlabelled > 100
 
 
 def test_row_order_leaves_the_canonical_basis_random():
