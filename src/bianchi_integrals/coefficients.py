@@ -1,5 +1,4 @@
-"""Exact scalars: rationals, the two k-coefficients of the Bianchi build,
-and symbolic k.
+"""Exact scalars: rationals and symbolic k.
 
 Rationals are ``fractions.Fraction`` values (always reduced, positive
 denominator, canonical zero).  k enters each Bianchi system only through
@@ -14,18 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-# Symbolic k is the model at these two k: c0 = v(0) and c1 = 2(v(1/2) - v(0)).
-SYMBOLIC_K = (Fraction(0), Fraction(1, 2))
-
-
-def K_MINUS_1_OVER_4(k: Fraction) -> Fraction:
-    """(k - 1)/4 at a rational k; a float k raises TypeError."""
-    return Fraction(k - 1, 4)
-
-
-def K_MINUS_1_OVER_2(k: Fraction) -> Fraction:
-    """(k - 1)/2 at a rational k; a float k raises TypeError."""
-    return Fraction(k - 1, 2)
+# Symbolic k is the model at these two k: c0 = v(0) and c1 = v(1) - v(0).
+# k = 1 is outside the paper's range, but building a field there is only algebra.
+SYMBOLIC_K = (Fraction(0), Fraction(1))
 
 
 class KPoly:

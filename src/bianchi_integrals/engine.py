@@ -4,21 +4,21 @@ The annihilation condition X(P) = 0 on a degree-m homogeneous ansatz is
 assembled as an exact linear system whose kernel is the space of degree-m
 polynomial first integrals.  A model gives one field per k it is built
 at, two at symbolic k.  X(P) is affine in k, so it is zero for every k
-exactly when it is zero at both k of SYMBOLIC_K: the kernel of the two
-systems stacked is the symbolic kernel.  That is the kernel of any basis
-of the span of X(0) and X(1/2), so the system stacks the sparsest pair
-known: X(1) = 2 X(1/2) - X(0), which has no (k-1)/4 terms, and
-V = d/dx4 + d/dx5 + d/dx6.  X(1/2) - X(0) = (1/8) F (0, 0, 0, 1, 1, 1) is
-G V with G = F/8, and G V(P) = 0 exactly when V(P) = 0, as Q[x] has no
-zero divisors.  That factorisation is checked on the fields themselves;
-where it fails, the difference stays the second part.  The entries are
-Python ints.  Kernel bases are recomputed canonically and re-verified, in
-integers, against the Lie derivative of every field the model is built
-at, so a part that lets in a vector outside the symbolic kernel raises a
-SoundnessError.  The expected degree-m kernel is the span of the products
-of the model's known integrals whose degrees sum to m; a kernel matches it
-when rank(products) = rank(kernel) = rank(products and kernel) = the
-kernel's length, which also rules out a repeated or dependent vector.
+exactly when it is zero at both k of SYMBOLIC_K = (0, 1): the kernel of
+the two systems stacked is the symbolic kernel.  That is the kernel of any
+basis of the span of X(0) and X(1), so the system stacks the sparsest pair
+known: X(1), which has no (k-1)/4 terms, and V = d/dx4 + d/dx5 + d/dx6.
+X(1) - X(0) = (1/4) F (0, 0, 0, 1, 1, 1) is G V with G = F/4, and
+G V(P) = 0 exactly when V(P) = 0, as Q[x] has no zero divisors.  That
+factorisation is checked on the fields themselves; where it fails, the
+difference stays the second part.  The entries are Python ints.  Kernel
+bases are recomputed canonically and re-verified, in integers, against the
+Lie derivative of every field the model is built at, so a part that lets
+in a vector outside the symbolic kernel raises a SoundnessError.  The
+expected degree-m kernel is the span of the products of the model's known
+integrals whose degrees sum to m; a kernel matches it when
+rank(products) = rank(kernel) = rank(products and kernel) = the kernel's
+length, which also rules out a repeated or dependent vector.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from itertools import combinations_with_replacement
 from math import lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .coefficients import K_MINUS_1_OVER_2, K_MINUS_1_OVER_4
 from .multipoly import Monomial, MultiPoly, monomial_key
 from .nullspace import PIVOT_RULE, SparseRow, echelon, sparse_kernel_basis
 from .vectorfields import (
@@ -127,23 +126,22 @@ def assemble_system(fields: Sequence[Field], m: int) -> LinearSystem:
     """Linear system whose kernel is {degree-m homogeneous first integrals of every field}.
 
     One field is its own part.  Two fields X_0, X_1 have the common kernel
-    of any basis of their span; the parts are X_1 + (X_1 - X_0), which is
-    X(1) for the fields at SYMBOLIC_K = (0, 1/2), and _direction(X_1 - X_0),
-    which is d/dx4 + d/dx5 + d/dx6 there and the difference itself for a
-    pair where the factorisation check fails.  At symbolic k both parts
-    keep the x1..x3 exponent of a monomial or raise it by 2, as the
-    filtration labels ask.  Each part, cleared by _cleared, gives one Lie
-    derivative per ansatz monomial: a row belongs to one part and is a
-    positive multiple of a row of that part's system, so it has the same
-    primitive integer row.  No output names the parts.
+    of any basis of their span; the parts are X_1, which is X(1) for the
+    fields at SYMBOLIC_K = (0, 1), and _direction(X_1 - X_0), which is
+    d/dx4 + d/dx5 + d/dx6 there and the difference itself for a pair where
+    the factorisation check fails.  At symbolic k both parts keep the
+    x1..x3 exponent of a monomial or raise it by 2, as the filtration
+    labels ask.  Each part, cleared by _cleared, gives one Lie derivative
+    per ansatz monomial: a row belongs to one part and is a positive
+    multiple of a row of that part's system, so it has the same primitive
+    integer row.  No output names the parts.
     """
     if m < 1:
         raise ValueError("ansatz degree must be >= 1")
     parts = list(fields)
     if len(parts) == 2:
         X0, X1 = parts
-        D = tuple(b - a for a, b in zip(X0, X1))
-        parts = [tuple(b + c for b, c in zip(X1, D)), _direction(D)]
+        parts = [X1, _direction(tuple(b - a for a, b in zip(X0, X1)))]
     basis = enumerate_monomials(len(parts[0]), m)
     parts = [_cleared(X) for X in parts]
     # A generator, so each column's images are dropped once its rows are read.
@@ -276,7 +274,7 @@ def _gradient_rows(tag: str, k: Fraction) -> List[List[Fraction]]:
         return [p.partial_derivative(c).evaluate(x) for c in range(len(x))]
 
     linear = polynomial_integrals(tag)
-    w = K_MINUS_1_OVER_2(k)
+    w = Fraction(k - 1, 2)
     F = build_F(*BIANCHI_TABLE[tag])
     rows = [grad(p) for p in linear]
     rows.append([w * F.evaluate(x) * Fraction(c < 3, x[c]) + g for c, g in enumerate(grad(F))])
@@ -315,7 +313,7 @@ def _transport_kernel(linear: MultiPoly, k: Fraction, m: int,
     One _cleared call scales linear, (k-1)/4 F123 and extra by one d, so
     the images are integral and the kernel stays the same.
     """
-    linear, cF, *extra = _cleared([linear, K_MINUS_1_OVER_4(k) * build_F(0, 0, 0), *extra])
+    linear, cF, *extra = _cleared([linear, Fraction(k - 1, 4) * build_F(0, 0, 0), *extra])
     transport = (MultiPoly(NVARS),) * 3 + (cF,) * 3
     monos = [(0, 0, 0) + g for g in enumerate_monomials(3, m)]
     images = []

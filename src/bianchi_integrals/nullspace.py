@@ -28,7 +28,9 @@ the stacked elimination runs on all of them.  If every piece passes, the
 kernel is empty.  Otherwise the union-find goes on over the links to join
 the pieces into the components of the whole matrix, and only the
 components that hold a failed piece take the exact path, since a
-component is block triangular with its own pieces on the diagonal.
+component is block triangular with its own pieces on the diagonal.  They
+take it in one elimination, columns ascending: rows of different
+components share no column, so each gets its own canonical vectors.
 
 The exact path is division-free over the integers.  Each row, sparsest
 first, is made a primitive integer row and inserted into a table {leading
@@ -175,8 +177,9 @@ def echelon(rows: Sequence[SparseRow]) -> Dict[int, SparseRow]:
     return pivots
 
 
-def _exact_kernel(rows: Sequence[SparseRow], cols: Sequence[int]) -> Tuple[List[Dict[int, Fraction]], int]:
-    """Canonical kernel vectors {column: value} and rank of one block.
+def _exact_kernel(rows: Sequence[SparseRow], cols: Sequence[int]) -> List[Dict[int, Fraction]]:
+    """Canonical kernel vectors {column: value} of the rows on the ascending
+    columns cols, ordered by free column.
 
     The pivot columns, and so the canonical basis, depend only on the row
     space, so the rows are inserted sparsest first, which fills in least.
@@ -194,7 +197,7 @@ def _exact_kernel(rows: Sequence[SparseRow], cols: Sequence[int]) -> Tuple[List[
             if s:
                 vec[col] = -s / row[col]
         vectors.append(vec)
-    return vectors, len(pivots)
+    return vectors
 
 
 def _diagonal_split(
@@ -240,6 +243,8 @@ def sparse_kernel_basis(
 
     labels, if given, is (column labels, row labels), each a (level, group)
     pair; they choose only the diagonal and the links of the module docstring.
+    Every component the exact path skips has full column rank, so the rank
+    is ncols minus the number of vectors.
     """
     split = _diagonal_split(rows, labels) if labels is not None else None
     diagonal, links = split or (rows, [])
@@ -251,14 +256,7 @@ def sparse_kernel_basis(
         return [], ncols
     _join(root, links)
     failed = {_find(root, cols[0]) for (cols, _), passed in zip(pieces, verdicts) if not passed}
-    exact = [b for b in _components(root, rows) if _find(root, b[0][0]) in failed]
-    vectors: List[Dict[int, Fraction]] = []
-    rank = ncols
-    for cols, block in exact:
-        block_vectors, block_rank = _exact_kernel(block, cols)
-        vectors += block_vectors
-        rank -= len(cols) - block_rank
-    # The free column of a canonical vector is its largest column.
-    vectors.sort(key=max)
+    vectors = _exact_kernel([row for row in rows if row and _find(root, next(iter(row))) in failed],
+                            [c for c in range(ncols) if _find(root, c) in failed])
     zero = Fraction(0)
-    return [tuple(vec.get(c, zero) for c in range(ncols)) for vec in vectors], rank
+    return [tuple(vec.get(c, zero) for c in range(ncols)) for vec in vectors], ncols - len(vectors)

@@ -6,7 +6,7 @@ is the tuple of its n MultiPoly components, built at one rational k.
 
 Symbolic k is the model at the two k of SYMBOLIC_K.  k enters X only
 through (k-1)/4, so for any P the image X(P) is affine in k, and X(P) = 0
-for every k exactly when it is 0 at k = 0 and at k = 1/2.
+for every k exactly when it is 0 at k = 0 and at k = 1.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, Optional, Sequence, Tuple
 
-from .coefficients import K_MINUS_1_OVER_2, K_MINUS_1_OVER_4, SYMBOLIC_K, KPoly
+from .coefficients import SYMBOLIC_K, KPoly
 from .multipoly import Monomial, MultiPoly
 
 NVARS = 6
@@ -89,7 +89,7 @@ def build_bianchi(tag: str, k: Fraction) -> Field:
     n1, n2, n3 = BIANCHI_TABLE[tag]
     x = [MultiPoly.variable(NVARS, i) for i in range(NVARS)]
     F = build_F(n1, n2, n3)
-    cf = K_MINUS_1_OVER_4(k)
+    cf = Fraction(k - 1, 4)
     return (
         x[0] * (-x[3] + x[4] + x[5]),
         x[1] * (x[3] - x[4] + x[5]),
@@ -102,12 +102,12 @@ def build_bianchi(tag: str, k: Fraction) -> Field:
 
 def text_at(values: Sequence[MultiPoly]) -> str:
     """The text of a polynomial from its values at a model's ks: one value prints as
-    it is, and the values v(0), v(1/2) of a v affine in k print with its
-    coefficients c0 + c1*k, c0 = v(0) and c1 = 2(v(1/2) - v(0))."""
+    it is, and the values v(0), v(1) of a v affine in k print with its
+    coefficients c0 + c1*k, c0 = v(0) and c1 = v(1) - v(0)."""
     if len(values) == 1:
         return values[0].to_text()
-    c0, at_half = values
-    c1 = 2 * (at_half - c0)
+    c0, at_one = values
+    c1 = at_one - c0
     return MultiPoly(c0.nvars, {m: KPoly((c0.terms.get(m, 0), c1.terms.get(m, 0)))
                                 for m in c0.terms.keys() | c1.terms.keys()}).to_text()
 
@@ -145,11 +145,12 @@ def verify_weighted_power_integral(X: Field, tag: str, k: Fraction) -> MultiPoly
     X(P^w * F) = P^(w-1) * (P * X(F) + w * F * X(P)), so the polynomial
     P * X(F) + w * F * X(P) is returned.  X(P) reads only X_1..X_3, which do
     not depend on k, and w and X_4..X_6 are affine in k, so the residual is
-    affine in k: if it is zero at both k of SYMBOLIC_K, it is zero in Q[k].
+    affine in k: if it is zero at k = 0 and k = 1, the two k of SYMBOLIC_K,
+    it is zero in Q[k].
     """
     F = build_F(*BIANCHI_TABLE[tag])
     P = MultiPoly(NVARS, {(1, 1, 1, 0, 0, 0): 1})
-    return P * lie_derivative(X, F) + K_MINUS_1_OVER_2(k) * F * lie_derivative(X, P)
+    return P * lie_derivative(X, F) + Fraction(k - 1, 2) * F * lie_derivative(X, P)
 
 
 def polynomial_integrals(tag: str) -> Tuple[MultiPoly, ...]:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bianchi_integrals.coefficients import K_MINUS_1_OVER_2, K_MINUS_1_OVER_4, KPoly
+from bianchi_integrals.coefficients import KPoly
+from bianchi_integrals.engine import independence_rank, lemma_dificil_solve, lemma_estrella_solve
+from bianchi_integrals.vectorfields import build_bianchi, verify_weighted_power_integral
 
 rationals = st.fractions(
     min_value=-(1 << 30), max_value=1 << 30, max_denominator=1 << 20
@@ -25,19 +27,19 @@ def test_canonical_form():
     assert q.numerator == 1 and q.denominator == 2
 
 
-def test_k_minus_one_over_four_substitution():
-    assert K_MINUS_1_OVER_4(Fraction(1, 2)) == Fraction(-1, 8)
-    assert K_MINUS_1_OVER_4(Fraction(0)) == Fraction(-1, 4)
-    # k = 1 is the excluded endpoint; only used as a degeneracy probe
-    assert K_MINUS_1_OVER_4(Fraction(1)) == 0
-    assert K_MINUS_1_OVER_2(Fraction(2, 3)) == Fraction(-1, 6)
-
-
-def test_a_float_k_is_refused():
-    for coefficient in (K_MINUS_1_OVER_4, K_MINUS_1_OVER_2):
-        assert type(coefficient(1)) is Fraction
-        with pytest.raises(TypeError):
-            coefficient(0.5)
+@pytest.mark.parametrize("call", [
+    lambda k: build_bianchi("IX", k),
+    lambda k: verify_weighted_power_integral(build_bianchi("IX", Fraction(1, 2)), "IX", k),
+    lambda k: lemma_estrella_solve(Fraction(1), Fraction(0), Fraction(0), k, 3),
+    lambda k: lemma_dificil_solve(k, 4),
+    lambda k: independence_rank("II", k),
+], ids=["build_bianchi", "verify_weighted_power_integral", "lemma_estrella_solve",
+        "lemma_dificil_solve", "independence_rank"])
+def test_a_float_k_is_refused(call):
+    # (k - 1)/4 and (k - 1)/2 are Fraction(k - 1, 4) and Fraction(k - 1, 2),
+    # which refuse a float k.
+    with pytest.raises(TypeError):
+        call(0.5)
 
 
 def test_division_by_zero_is_distinct_error():

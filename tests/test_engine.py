@@ -69,14 +69,14 @@ class TestAssembleSystem:
         fields = model_fields(tag, None)
         for m in (1, 2, 3):
             system = assemble_system(fields, m)
-            # 2 X(1/2) - X(0) = X(1), and X(1/2) - X(0) = (1/8) F (0, 0, 0, 1, 1, 1)
-            # gives d/dx4 + d/dx5 + d/dx6: both have int coefficients, so d = 1.
+            # X(1) - X(0) = (1/4) F (0, 0, 0, 1, 1, 1) gives d/dx4 + d/dx5 + d/dx6,
+            # and X(1) has no (k - 1)/4 terms: both have int coefficients, so d = 1.
             rows, keys = _part_rows(_expected_parts(tag, None), system.columns)
             assert {f for _, f in keys} == {0, 1}
             assert _row_multiples(system.rows, rows) == {1}
             assert all(len(row) <= 3 for row, (_, f) in zip(rows, keys) if f == 1)
             assert all(type(v) is int for row in system.rows for v in row.values())
-            # Far sparser than X(0) stacked with X(1/2) - X(0).
+            # Far sparser than X(0) stacked with X(1) - X(0).
             X0, X1 = fields
             stacked, _ = _part_rows([X0, tuple(b - a for a, b in zip(X0, X1))], system.columns)
             assert sum(map(len, system.rows)) < sum(map(len, stacked))
@@ -93,10 +93,10 @@ class TestAssembleSystem:
         assert engine._direction(D) is D
         for m in (1, 2, 3):
             system = assemble_system([X0, X1], m)
-            rows, keys = _part_rows([tuple(b + c for b, c in zip(X1, D)), D], system.columns)
-            # Each part is cleared on its own: 2 X1 - X0 has int coefficients,
+            rows, keys = _part_rows([X1, D], system.columns)
+            # Each part is cleared on its own: X1 needs 8 for its (1/2 - 1)/4,
             # and D needs 8 for its F/8.
-            for part, d in ((0, 1), (1, 8)):
+            for part, d in ((0, 8), (1, 8)):
                 at = [i for i, (_, f) in enumerate(keys) if f == part]
                 assert _row_multiples([system.rows[i] for i in at], [rows[i] for i in at]) == {d}
             oracle_vectors, _ = oracle.kernel_oracle([X0, X1], m)

@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 import pytest
 
 from bianchi_integrals import nullspace
-from bianchi_integrals.engine import assemble_system
+from bianchi_integrals.engine import assemble_system, kernel_basis
 from bianchi_integrals.nullspace import (
     PIVOT_RULE,
     PRIME,
@@ -290,9 +290,10 @@ def test_singular_diagonal_block_falls_back(rows, rank):
 def test_failed_pieces_take_the_exact_path_by_their_components_random(monkeypatch):
     # Joining the links below the diagonal to the pieces' union-find gives
     # the components of the whole matrix, and exactly those that hold a
-    # failed piece reach the exact path.  Without labels the matrix is its
-    # own diagonal with no links, so its pieces are its components, and
-    # exactly the failed ones reach the exact path.
+    # failed piece reach the exact path, in one call: their columns in
+    # ascending order and their rows in input order.  Without labels the
+    # matrix is its own diagonal with no links, so its pieces are its
+    # components, and exactly the failed ones reach the exact path.
     rng = random.Random(27)
     exact_calls = []
 
@@ -303,6 +304,7 @@ def test_failed_pieces_take_the_exact_path_by_their_components_random(monkeypatc
     exact_kernel = nullspace._exact_kernel
     monkeypatch.setattr(nullspace, "_exact_kernel", recording_exact_kernel)
     coupled = unlabelled = 0
+    several = {True: 0, False: 0}  # systems that reach two or more components, by labels
     for _ in range(300):
         matrix, labels, _ = _labelled_system(rng, False)
         ncols = len(labels[0])
@@ -319,20 +321,45 @@ def test_failed_pieces_take_the_exact_path_by_their_components_random(monkeypatc
             _join(root, links)
             components = _components(root, rows)
             assert components == connected_blocks(rows, ncols)
+            reached = [b for b in components if any(not set(cols).isdisjoint(b[0]) for cols in failed)]
+            columns = sorted(c for cols, _ in reached for c in cols)
             exact_calls.clear()
             basis, rank = sparse_kernel_basis(rows, ncols, given)
-            assert exact_calls == [b for b in components
-                                   if any(not set(cols).isdisjoint(b[0]) for cols in failed)]
+            assert exact_calls == [(columns, [row for row in rows if row and min(row) in columns])]
             assert rank == dense_rank(matrix)
             assert [list(v) for v in basis] == dense_kernel(matrix, ncols)
+            several[given is not None] += len(reached) > 1
             if given is None:
-                assert exact_calls == [b for b, passed in zip(pieces, verdicts) if not passed]
+                assert reached == [b for b, passed in zip(pieces, verdicts) if not passed]
                 unlabelled += 1
             else:
                 coupled += any(len([p for p, _ in pieces if set(p) <= set(b[0])]) > 1
-                               for b in exact_calls)
+                               for b in reached)
     assert coupled > 100  # a failed piece joined below the diagonal to another piece
     assert unlabelled > 100
+    # so the union of components, not one alone, is held to the dense oracle
+    assert several[True] > 50 and several[False] > 50
+
+
+@pytest.mark.parametrize("tag, widths", [
+    ("I", [comb(m + 2, 2) for m in range(1, 9)]),  # the x4..x6 monomials
+    ("II", [3, 7, 13, 22, 34, 50, 70, 95]),  # of 1287 columns at m = 8
+])
+@pytest.mark.parametrize("k", [Fraction(1, 2), None], ids=["k=1/2", "symbolic"])
+def test_the_exact_path_stays_confined_on_the_models(monkeypatch, tag, widths, k):
+    # The whole matrix on the exact path is 3-5 times slower.
+    exact_calls = []
+
+    def recording_exact_kernel(rows, cols):
+        exact_calls.append(len(cols))
+        return exact_kernel(rows, cols)
+
+    exact_kernel = nullspace._exact_kernel
+    monkeypatch.setattr(nullspace, "_exact_kernel", recording_exact_kernel)
+    fields = model_fields(tag, k)
+    for m in range(1, 9):
+        kernel_basis(fields, m)
+    assert exact_calls == widths
 
 
 def test_row_order_leaves_the_canonical_basis_random():

@@ -118,15 +118,16 @@ class TestAffineInK:
 
     @pytest.mark.parametrize("tag", sorted(BIANCHI_TABLE))
     @pytest.mark.parametrize("k", [Fraction(1, 3), Fraction(9, 10)])
-    def test_field_is_its_values_at_0_and_one_half_extended(self, tag, k):
-        at_0, at_half = (build_bianchi(tag, s) for s in SYMBOLIC_K)
-        for comp, v0, vh in zip(build_bianchi(tag, k), at_0, at_half):
-            assert comp == v0 + k * (2 * (vh - v0))
-        assert at_0[:3] == at_half[:3]
+    def test_field_is_its_values_at_0_and_1_extended(self, tag, k):
+        assert SYMBOLIC_K == (Fraction(0), Fraction(1))
+        at_0, at_1 = (build_bianchi(tag, s) for s in SYMBOLIC_K)
+        for comp, v0, v1 in zip(build_bianchi(tag, k), at_0, at_1):
+            assert comp == v0 + k * (v1 - v0)
+        assert at_0[:3] == at_1[:3]
 
     def test_text_at_symbolic_k(self):
-        v0, vh = (build_bianchi("IX", s)[3] for s in SYMBOLIC_K)
-        assert text_at([v0, vh]).startswith("(3/4 + 1/4*k)*x1^2 + (-1/2 + -1/2*k)*x1*x2")
+        v0, v1 = (build_bianchi("IX", s)[3] for s in SYMBOLIC_K)
+        assert text_at([v0, v1]).startswith("(3/4 + 1/4*k)*x1^2 + (-1/2 + -1/2*k)*x1*x2")
         assert text_at([v0]) == v0.to_text()
         assert text_at([MultiPoly(6), MultiPoly(6)]) == "0"
 
