@@ -23,14 +23,14 @@ length, which also rules out a repeated or dependent vector.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .multipoly import Monomial, MultiPoly, monomial_key
+from .multipoly import Monomial, MultiPoly, leading_exponents, monomials, unpack
 from .nullspace import PIVOT_RULE, SparseRow, echelon, sparse_kernel_basis
 from .vectorfields import (
     BIANCHI_TABLE,
@@ -48,12 +48,7 @@ class SoundnessError(RuntimeError):
 
 def enumerate_monomials(nvars: int, degree: int) -> List[Monomial]:
     """All degree-m exponent tuples, graded-lex order (largest first)."""
-    if nvars < 1 or degree < 0:
-        raise ValueError("need nvars >= 1 and degree >= 0")
-    return [
-        tuple(factors.count(i) for i in range(nvars))
-        for factors in combinations_with_replacement(range(nvars), degree)
-    ]
+    return [unpack(key, nvars) for key in monomials(nvars, degree)]
 
 
 @dataclass
@@ -63,11 +58,11 @@ class LinearSystem:
     Rows are ordered by (output monomial, part index), as _rows sorts them;
     a fixed k has one part.  Columns follow the ansatz monomial order.  The
     rows, Python ints, are those of the parts assemble_system builds, and
-    outputs holds the output monomial of each row.
+    outputs holds the packed key of each row's output monomial.
     """
 
     columns: Tuple[Monomial, ...]
-    outputs: List[Monomial]
+    outputs: List[int]
     rows: List[SparseRow]
 
     @property
@@ -80,26 +75,33 @@ class LinearSystem:
 
     @property
     def labels(self) -> Tuple[List[Tuple[int, Monomial]], List[Tuple[int, Monomial]]]:
-        """The filtration label of each column and of each row, for sparse_kernel_basis."""
+        """The filtration label of each column and of each row, for
+        sparse_kernel_basis; only the x1..x3 exponents of the outputs are decoded."""
         return ([_filtration_label(c[:3]) for c in self.columns],
-                [_filtration_label(o[:3]) for o in self.outputs])
+                list(map(_filtration_label, leading_exponents(self.outputs, len(self.columns[0]), 3))))
 
 
-def _rows(columns: Iterable[Sequence[MultiPoly]]) -> Tuple[List[Monomial], List[SparseRow]]:
-    """The output monomial of each row and the sparse rows of the linear map
-    sending unknown j to column j's images.
+def _rows(columns: Iterable[Sequence[MultiPoly]], parts: int = 1) -> Tuple[List[int], List[SparseRow]]:
+    """The packed output monomial of each row and the sparse rows of the
+    linear map sending unknown j to column j's images.
 
     Column j holds one image per part, so each row is keyed by (output
     monomial, part index), largest first, and the kernel annihilates every
-    part at once.  A single image has part index 0.
+    part at once.  Each part keeps its own rows by output key.
     """
-    rowmap: Dict[Tuple[Monomial, int], SparseRow] = {}
+    rowmaps: List[Dict[int, SparseRow]] = [defaultdict(dict) for _ in range(parts)]
     for j, images in enumerate(columns):
-        for f, image in enumerate(images):
-            for out_mono, coeff in image.terms.items():
-                rowmap.setdefault((out_mono, f), {})[j] = coeff
-    keys = sorted(rowmap, key=lambda mk: (monomial_key(mk[0]), mk[1]), reverse=True)
-    return [mono for mono, _ in keys], [rowmap[k] for k in keys]
+        for rowmap, image in zip(rowmaps, images):
+            for out, coeff in image.packed.items():
+                rowmap[out][j] = coeff
+    outputs, rows = [], []
+    for out in sorted(set().union(*rowmaps), reverse=True):
+        for rowmap in reversed(rowmaps):
+            row = rowmap.get(out)
+            if row is not None:
+                outputs.append(out)
+                rows.append(row)
+    return outputs, rows
 
 
 def _direction(D: Field) -> Field:
@@ -142,17 +144,18 @@ def assemble_system(fields: Sequence[Field], m: int) -> LinearSystem:
     if len(parts) == 2:
         X0, X1 = parts
         parts = [X1, _direction(tuple(b - a for a, b in zip(X0, X1)))]
-    basis = enumerate_monomials(len(parts[0]), m)
+    nvars = len(parts[0])
+    keys = monomials(nvars, m)
     parts = [_cleared(X) for X in parts]
     # A generator, so each column's images are dropped once its rows are read.
-    outputs, rows = _rows([lie_derivative(X, MultiPoly(len(X), {mono: 1})) for X in parts]
-                          for mono in basis)
-    return LinearSystem(tuple(basis), outputs, rows)
+    outputs, rows = _rows(([lie_derivative(X, MultiPoly._of(nvars, {key: 1})) for X in parts]
+                           for key in keys), len(parts))
+    return LinearSystem(tuple(unpack(key, nvars) for key in keys), outputs, rows)
 
 
 def _cleared(polys: Sequence[MultiPoly]) -> List[MultiPoly]:
     """The polynomials times the lcm of all their denominators, with int coefficients."""
-    d = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    d = lcm(*(c.denominator for p in polys for c in p.packed.values()))
     return [p.map_coefficients(lambda c: int(c * d)) for p in polys]
 
 
@@ -218,7 +221,7 @@ def _rank(polys: Sequence[MultiPoly]) -> int:
     """Exact rank of the polynomials over Q: the number of pivots of their
     echelon, each cleared of denominators and keyed by monomial.  The sets
     are small, so a rank mod p would not pay for itself."""
-    return len(echelon([_cleared([p])[0].terms for p in polys]))
+    return len(echelon([_cleared([p])[0].packed for p in polys]))
 
 
 def degree_sweep(model: BianchiModel, m_max: int) -> dict:

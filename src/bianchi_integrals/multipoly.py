@@ -1,87 +1,177 @@
 """Sparse exact multivariate polynomials over Fraction or int coefficients.
 
-Monomials are exponent tuples of fixed length (one entry per state
-variable).  The canonical term order is graded lexicographic with
-x1 > x2 > ... > xn, so homogeneous blocks are contiguous and printing,
-hashing and report output are deterministic.
+A monomial x1^e1 ... xn^en is kept as one packed int, its key:
+deg * 2^(n*W) + sum_i e_i * 2^((n-i)*W), deg = e1 + ... + en, one W-bit
+field per exponent below the degree.  Every degree is below 2^W, so no
+field carries into the next, and int order on keys is the canonical term
+order, graded lexicographic with x1 > x2 > ... > xn: homogeneous blocks are
+contiguous, and printing, hashing and report output are deterministic.
+The key of a product of monomials is the sum of their keys, and x_i has a
+fixed unit key, so d/dx_i subtracts that key and reads one field.  A
+product or power of degree 2^W or more raises OverflowError.
 
-``MultiPoly(n)`` is the zero polynomial in n variables, ``MultiPoly(n,
-{mono: c})`` the term c*x^mono, and a polynomial is false exactly when it
-is zero.  ``to_text`` prints a coefficient that is neither an int nor a
+The layout stays in this module.  ``MultiPoly(n, {mono: c})``, the term
+c*x^mono, takes exponent tuples of non-negative ints, and ``terms`` is a
+read-only view of the terms keyed by exponent tuple; ``packed`` holds them
+by key, for the hot paths that add keys.  ``MultiPoly(n)`` is the zero
+polynomial in n variables, and a polynomial is false exactly when it is
+zero.  ``to_text`` prints a coefficient that is neither an int nor a
 Fraction in parentheses: "(c0 + c1*k)" for a polynomial at symbolic k.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
 
-
-def monomial_key(mono: Monomial):
-    """Sort key realizing graded lex with x1 > x2 > ... > xn."""
-    return (sum(mono), mono)
+W = 32
+MASK = (1 << W) - 1
 
 
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(i + j for i, j in zip(a, b))
+def pack(mono: Sequence[int]) -> int:
+    """The key of an exponent tuple."""
+    key = 0
+    for e in mono:
+        if not isinstance(e, int) or e < 0:
+            raise ValueError("monomial %r has an exponent that is not a non-negative int" % (mono,))
+        key = key << W | e
+    degree = sum(mono)
+    if degree >> W:
+        raise OverflowError("monomial %r has degree %d, not below 2^%d" % (mono, degree, W))
+    return degree << len(mono) * W | key
+
+
+def unpack(key: int, nvars: int) -> Monomial:
+    """The exponent tuple of a key of nvars variables."""
+    return tuple([key >> shift & MASK for shift, _ in variable_fields(nvars)])
+
+
+def leading_exponents(keys: Iterable[int], nvars: int, count: int) -> List[Monomial]:
+    """The exponents of x1..x_count in each key of nvars variables.  A key
+    shifted right past x_count's field holds the degree and those exponents
+    alone, so each distinct shifted key is decoded once."""
+    heads = [key >> (nvars - count) * W for key in keys]
+    decoded = {head: unpack(head, count) for head in set(heads)}
+    return [decoded[head] for head in heads]
+
+
+@lru_cache(maxsize=None)
+def variable_fields(nvars: int) -> Tuple[Tuple[int, int], ...]:
+    """(shift, unit) of x1..xn: x_i's exponent in a key is key >> shift & MASK,
+    and unit is the key of x_i."""
+    return tuple(((nvars - 1 - i) * W, 1 << nvars * W | 1 << (nvars - 1 - i) * W) for i in range(nvars))
+
+
+def variable_field(nvars: int, index: int) -> Tuple[int, int]:
+    """(shift, unit) of x_index, as in variable_fields."""
+    if not 0 <= index < nvars:
+        raise ValueError("variable index %d out of range" % index)
+    return variable_fields(nvars)[index]
+
+
+def monomials(nvars: int, degree: int) -> List[int]:
+    """The keys of every degree-m monomial in nvars variables, largest first."""
+    if nvars < 1 or not 0 <= degree < 1 << W:
+        raise ValueError("need nvars >= 1 and 0 <= degree < 2^%d" % W)
+    heads = [(degree << nvars * W, degree)]  # (key so far, degree left)
+    for shift in range((nvars - 1) * W, 0, -W):
+        heads = [(key + (e << shift), left - e) for key, left in heads for e in range(left, -1, -1)]
+    return [key + left for key, left in heads]
+
+
+class Terms(Mapping):
+    """Read-only view of a polynomial's terms, keyed by exponent tuple."""
+
+    __slots__ = ("_packed", "_nvars")
+
+    def __init__(self, packed: Dict[int, object], nvars: int):
+        self._packed = packed
+        self._nvars = nvars
+
+    def __getitem__(self, mono) -> object:
+        try:
+            key = pack(mono) if len(mono) == self._nvars else None
+        except (TypeError, ValueError, OverflowError):
+            key = None
+        if key not in self._packed:
+            raise KeyError(mono)
+        return self._packed[key]
+
+    def __iter__(self) -> Iterator[Monomial]:
+        return (unpack(key, self._nvars) for key in self._packed)
+
+    def __len__(self) -> int:
+        return len(self._packed)
 
 
 class MultiPoly:
-    """Sparse polynomial: dict from exponent tuple to nonzero coefficient."""
+    """Sparse polynomial: dict from monomial key to nonzero coefficient."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "packed")
 
     def __init__(self, nvars: int, terms: Optional[Dict[Monomial, object]] = None):
         self.nvars = nvars
-        self.terms: Dict[Monomial, object] = {}
+        self.packed: Dict[int, object] = {}
         for mono, coeff in (terms or {}).items():
             mono = tuple(mono)
             if len(mono) != nvars:
                 raise ValueError("monomial %r has wrong arity for %d variables" % (mono, nvars))
+            key = pack(mono)
             if coeff:
-                self.terms[mono] = coeff
+                self.packed[key] = coeff
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _of(cls, nvars: int, terms: Dict[Monomial, object]) -> "MultiPoly":
-        """A polynomial from terms whose monomials are already checked; zero
-        coefficients are dropped here, once."""
+    def _of(cls, nvars: int, packed: Dict[int, object]) -> "MultiPoly":
+        """A polynomial that takes over a dict of terms keyed by packed
+        monomial; zero coefficients are dropped here, once.
+
+        Each operation keeps every key it computes in that dict, even at a
+        zero sum, and a sum of keys has a degree field of 2^W or more
+        exactly when its monomial has that degree, so the largest key
+        tells whether any monomial overflowed.
+        """
+        if packed and max(packed) >> (nvars + 1) * W:
+            raise OverflowError("a monomial of degree 2^%d or more" % W)
         result = cls.__new__(cls)
         result.nvars = nvars
-        result.terms = {mono: c for mono, c in terms.items() if c}
+        result.packed = packed if all(packed.values()) else {key: c for key, c in packed.items() if c}
         return result
 
     @classmethod
     def constant(cls, nvars: int, value) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: value})
+        return cls._of(nvars, {0: value})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
-        if not 0 <= index < nvars:
-            raise ValueError("variable index %d out of range" % index)
-        mono = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {mono: 1})
+        return cls._of(nvars, {variable_field(nvars, index)[1]: 1})
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def terms(self) -> Terms:
+        return Terms(self.packed, self.nvars)
+
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.packed)
 
     def ordered_terms(self) -> List[Tuple[Monomial, object]]:
         """Terms in canonical order, largest monomial first."""
-        return [(m, self.terms[m]) for m in sorted(self.terms, key=monomial_key, reverse=True)]
+        return [(unpack(key, self.nvars), self.packed[key]) for key in sorted(self.packed, reverse=True)]
 
     def leading_coefficient(self):
-        if not self.terms:
+        if not self.packed:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.terms[max(self.terms, key=monomial_key)]
+        return self.packed[max(self.packed)]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
-            return self.nvars == other.nvars and self.terms == other.terms
+            return self.nvars == other.nvars and self.packed == other.packed
         return NotImplemented
 
     __hash__ = None  # mutable dict inside; value identity is by __eq__
@@ -101,15 +191,15 @@ class MultiPoly:
         other = self._as_poly(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out[mono] + coeff if mono in out else coeff
+        out = dict(self.packed)
+        for key, coeff in other.packed.items():
+            out[key] = out[key] + coeff if key in out else coeff
         return MultiPoly._of(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._of(self.nvars, {m: -c for m, c in self.terms.items()})
+        return MultiPoly._of(self.nvars, {key: -c for key, c in self.packed.items()})
 
     def __sub__(self, other):
         other = self._as_poly(other)
@@ -121,14 +211,14 @@ class MultiPoly:
         other = self._as_poly(other)
         if other is None:
             return NotImplemented
-        out: Dict[Monomial, object] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mono = monomial_mul(ma, mb)
-                if mono in out:
-                    out[mono] += ca * cb
+        out: Dict[int, object] = {}
+        for ka, ca in self.packed.items():
+            for kb, cb in other.packed.items():
+                key = ka + kb
+                if key in out:
+                    out[key] += ca * cb
                 else:
-                    out[mono] = ca * cb
+                    out[key] = ca * cb
         return MultiPoly._of(self.nvars, out)
 
     __rmul__ = __mul__
@@ -152,19 +242,17 @@ class MultiPoly:
         return result
 
     def map_coefficients(self, fn) -> "MultiPoly":
-        return MultiPoly(self.nvars, {m: fn(c) for m, c in self.terms.items()})
+        return MultiPoly._of(self.nvars, {key: fn(c) for key, c in self.packed.items()})
 
     # -- calculus and substitution ----------------------------------------
 
     def partial_derivative(self, var_index: int) -> "MultiPoly":
-        if not 0 <= var_index < self.nvars:
-            raise ValueError("variable index %d out of range" % var_index)
-        out: Dict[Monomial, object] = {}
-        for mono, coeff in self.terms.items():
-            e = mono[var_index]
+        shift, unit = variable_field(self.nvars, var_index)
+        out: Dict[int, object] = {}
+        for key, coeff in self.packed.items():
+            e = key >> shift & MASK
             if e:
-                lowered = mono[:var_index] + (e - 1,) + mono[var_index + 1:]
-                out[lowered] = coeff * e
+                out[key - unit] = coeff * e
         return MultiPoly._of(self.nvars, out)
 
     def evaluate(self, point: Sequence):
@@ -172,8 +260,8 @@ class MultiPoly:
         if len(point) != self.nvars:
             raise ValueError("point has %d entries, expected %d" % (len(point), self.nvars))
         total = 0
-        for mono, value in self.terms.items():
-            for x, e in zip(point, mono):
+        for key, value in self.packed.items():
+            for x, e in zip(point, unpack(key, self.nvars)):
                 if e:
                     value = value * x ** e
             total = total + value
@@ -182,7 +270,7 @@ class MultiPoly:
     # -- text form ---------------------------------------------------------
 
     def to_text(self) -> str:
-        if not self.terms:
+        if not self.packed:
             return "0"
         names = ["x%d" % (i + 1) for i in range(self.nvars)]
         pieces = []
@@ -218,4 +306,3 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return "MultiPoly(%d, %s)" % (self.nvars, self.to_text())
-

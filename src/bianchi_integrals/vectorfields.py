@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from operator import add
 from typing import Dict, Optional, Sequence, Tuple
 
 from .coefficients import SYMBOLIC_K, KPoly
-from .multipoly import Monomial, MultiPoly
+from .multipoly import MASK, MultiPoly, variable_fields
 
 NVARS = 6
 
@@ -115,27 +114,28 @@ def text_at(values: Sequence[MultiPoly]) -> str:
 def lie_derivative(X: Field, p: MultiPoly) -> MultiPoly:
     """sum_i X_i * dp/dx_i, computed exactly.
 
-    Expanded term by term into one dict: a term c*x^a of p with a_i > 0
-    meets each term d*x^b of X_i in d*a_i*c * x^(a-e_i+b).  Zero sums are
-    dropped once, at the end.
+    Expanded term by term into one dict of packed monomials: a term c*x^a
+    of p with a_i > 0 meets each term d*x^b of X_i in d*a_i*c * x^(a-e_i+b),
+    whose key is key(a) - key(x_i) + key(b).  Zero sums are dropped once,
+    at the end.
     """
-    if p.nvars != len(X):
+    n = p.nvars
+    if n != len(X):
         raise ValueError("variable count mismatch")
-    out: Dict[Monomial, object] = {}
-    for i, comp in enumerate(X):
-        comp_terms = comp.terms.items()
-        for a, c in p.terms.items():
-            e = a[i]
+    out: Dict[int, object] = {}
+    for a, c in p.packed.items():
+        for (shift, unit), comp in zip(variable_fields(n), X):
+            e = a >> shift & MASK
             if e:
-                lowered = a[:i] + (e - 1,) + a[i + 1:]
+                lowered = a - unit
                 ce = c * e
-                for b, d in comp_terms:
-                    mono = tuple(map(add, lowered, b))
+                for b, d in comp.packed.items():
+                    mono = lowered + b
                     if mono in out:
                         out[mono] += d * ce
                     else:
                         out[mono] = d * ce
-    return MultiPoly._of(p.nvars, out)
+    return MultiPoly._of(n, out)
 
 
 def verify_weighted_power_integral(X: Field, tag: str, k: Fraction) -> MultiPoly:

@@ -17,7 +17,7 @@ from bianchi_integrals.engine import (
     independence_rank,
     kernel_basis,
 )
-from bianchi_integrals.multipoly import MultiPoly, monomial_key
+from bianchi_integrals.multipoly import MultiPoly, pack
 from bianchi_integrals.nullspace import sparse_kernel_basis
 from bianchi_integrals.vectorfields import (
     BIANCHI_TABLE,
@@ -43,7 +43,7 @@ class TestEnumerateMonomials:
 
     def test_ordered_descending(self):
         monos = enumerate_monomials(6, 3)
-        keys = [monomial_key(m) for m in monos]
+        keys = [pack(m) for m in monos]
         assert keys == sorted(keys, reverse=True)
         assert monos[0] == (3, 0, 0, 0, 0, 0)
         assert monos[-1] == (0, 0, 0, 0, 0, 3)
@@ -62,6 +62,7 @@ class TestAssembleSystem:
         assert system.ncols == 6
         rows, keys = _part_rows(fields, system.columns)
         assert all(sum(mono) == 2 and f == 0 for mono, f in keys)
+        assert system.outputs == [pack(mono) for mono, _ in keys]
         assert _row_multiples(system.rows, rows) == {8}  # d clears (1/2 - 1)/4
 
     @pytest.mark.parametrize("tag", sorted(BIANCHI_TABLE))
@@ -73,6 +74,7 @@ class TestAssembleSystem:
             # and X(1) has no (k - 1)/4 terms: both have int coefficients, so d = 1.
             rows, keys = _part_rows(_expected_parts(tag, None), system.columns)
             assert {f for _, f in keys} == {0, 1}
+            assert system.outputs == [pack(mono) for mono, _ in keys]
             assert _row_multiples(system.rows, rows) == {1}
             assert all(len(row) <= 3 for row, (_, f) in zip(rows, keys) if f == 1)
             assert all(type(v) is int for row in system.rows for v in row.values())
@@ -133,7 +135,7 @@ def _part_rows(parts, columns):
         for f, X in enumerate(parts):
             for out, c in lie_derivative(X, MultiPoly(6, {mono: 1})).terms.items():
                 rowmap.setdefault((out, f), {})[j] = c
-    keys = sorted(rowmap, key=lambda mk: (monomial_key(mk[0]), mk[1]), reverse=True)
+    keys = sorted(rowmap, key=lambda mk: (pack(mk[0]), mk[1]), reverse=True)
     return [rowmap[key] for key in keys], keys
 
 

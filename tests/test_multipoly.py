@@ -1,10 +1,10 @@
 from fractions import Fraction
 
-from bianchi_integrals.multipoly import (
-    MultiPoly,
-    monomial_key,
-    monomial_mul,
-)
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from bianchi_integrals.multipoly import W, MultiPoly, leading_exponents, pack, unpack
 
 from conftest import homogeneous_parts, random_poly
 
@@ -144,11 +144,11 @@ class TestMonomialOrder:
         seen = 0
         for a in monos:
             for b in monos:
-                ka, kb = monomial_key(a), monomial_key(b)
+                ka, kb = pack(a), pack(b)
                 assert (ka < kb) + (ka > kb) + (ka == kb) == 1
                 assert (ka == kb) == (a == b)
                 for c in monos[:20]:
-                    kc = monomial_key(c)
+                    kc = pack(c)
                     if ka < kb and kb < kc:
                         assert ka < kc
                 seen += 1
@@ -159,11 +159,69 @@ class TestMonomialOrder:
             a = tuple(rng.randint(0, 5) for _ in range(6))
             b = tuple(rng.randint(0, 5) for _ in range(6))
             m = tuple(rng.randint(0, 5) for _ in range(6))
-            if monomial_key(a) < monomial_key(b):
-                assert monomial_key(monomial_mul(a, m)) < monomial_key(monomial_mul(b, m))
+            if pack(a) < pack(b):
+                assert pack([i + j for i, j in zip(a, m)]) < pack([i + j for i, j in zip(b, m)])
 
     def test_x1_beats_x2(self):
-        assert monomial_key((1, 0, 0, 0, 0, 0)) > monomial_key((0, 1, 0, 0, 0, 0))
+        assert pack((1, 0, 0, 0, 0, 0)) > pack((0, 1, 0, 0, 0, 0))
+
+
+# Exponents small enough that n of them, and the sum of two such tuples,
+# stay below degree 2^W; the small ones make equal sums and ties common.
+EXPONENT = st.one_of(st.integers(0, 3), st.integers(0, 2 ** (W - 4)))
+
+
+def exponent_tuples(n):
+    return st.tuples(*[EXPONENT] * n)
+
+
+def exponent_pairs():
+    return st.sampled_from((2, 3, 6)).flatmap(lambda n: st.tuples(exponent_tuples(n), exponent_tuples(n)))
+
+
+class TestPackedFormat:
+    """The packed key of a monomial: int order, addition and decoding."""
+
+    @given(exponent_pairs())
+    def test_key_order_is_the_degree_then_exponent_order(self, pair):
+        a, b = pair
+        assert (pack(a) < pack(b)) == ((sum(a), a) < (sum(b), b))
+        assert (pack(a) == pack(b)) == (a == b)
+
+    @given(exponent_pairs())
+    def test_key_of_a_product_is_the_sum_of_the_keys(self, pair):
+        a, b = pair
+        assert pack([i + j for i, j in zip(a, b)]) == pack(a) + pack(b)
+
+    @given(exponent_pairs())
+    def test_unpack_inverts_pack(self, pair):
+        for mono in pair:
+            assert unpack(pack(mono), len(mono)) == mono
+        a, b = pair
+        for count in range(1, len(a) + 1):
+            assert leading_exponents([pack(a), pack(b), pack(a)], len(a), count) == [a[:count], b[:count], a[:count]]
+
+    @pytest.mark.parametrize("mono", [(-1, 0), (0.5, 0)])
+    def test_an_exponent_that_cannot_be_packed_is_rejected(self, mono):
+        with pytest.raises(ValueError, match=r"monomial \(%s, 0\)" % mono[0]):
+            MultiPoly(2, {mono: 1})
+
+    def test_a_degree_of_2_to_the_W_overflows(self):
+        x = MultiPoly.variable(2, 0)
+        assert (x ** (2**W - 1)).terms == {(2**W - 1, 0): 1}
+        with pytest.raises(OverflowError):
+            x ** 2**W
+        with pytest.raises(OverflowError):
+            MultiPoly(2, {(2**W - 1, 1): 1})
+
+    def test_terms_is_a_read_only_view_keyed_by_exponent_tuple(self):
+        x = xvars(2)
+        p = 3 * x[0] ** 2 - x[1]
+        assert len(p.terms) == 2 and list(p.terms) == [(2, 0), (0, 1)]
+        assert p.terms[(2, 0)] == 3 and p.terms.get((1, 1), 0) == 0
+        assert p.terms.get((-1, 0)) is None and (0, 0, 1) not in p.terms
+        with pytest.raises(TypeError):
+            p.terms[(1, 0)] = 1
 
 
 def test_delta_is_sum_of_squares_identity():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bianchi_integrals.coefficients import SYMBOLIC_K
-from bianchi_integrals.multipoly import MultiPoly
+from bianchi_integrals.multipoly import W, MultiPoly
 from bianchi_integrals.vectorfields import (
     BIANCHI_TABLE,
     BianchiModel,
@@ -178,6 +178,15 @@ class TestLieDerivative:
             lie_derivative(X, comp)
             for comp in homogeneous_parts(q).values()
         )
+
+    def test_an_image_of_degree_2_to_the_W_overflows(self):
+        # x1^2 d/dx1 raises the degree by one: x1^(2^W - 1) maps to a
+        # monomial that does not fit, and one degree lower still fits.
+        x = MultiPoly.variable(2, 0)
+        X = (x * x, MultiPoly(2))
+        assert lie_derivative(X, x ** (2**W - 2)) == (2**W - 2) * x ** (2**W - 1)
+        with pytest.raises(OverflowError):
+            lie_derivative(X, x ** (2**W - 1))
 
 
 _fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
