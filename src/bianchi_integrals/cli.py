@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional
 
 from . import dynamics, engine
+from .multipoly import W
 from .vectorfields import (
     MODEL_TAGS,
     BianchiModel,
@@ -95,8 +96,9 @@ _three_rationals = _checked(_fractions, lambda v: len(v) == 3, "three comma-sepa
 _finite_positive = _checked(float, lambda v: 0 < v < math.inf, "a finite positive number")
 
 
-def _int_at_least(low: int) -> Callable:
-    return _checked(int, lambda n: n >= low, "an integer >= %d" % low)
+def _int_at_least(low: int, below: float = math.inf) -> Callable:
+    need = "an integer >= %d" % low + (" and below %d" % below if below < math.inf else "")
+    return _checked(int, lambda n: low <= n < below, need)
 
 
 def _emit(payload, out: Optional[str]) -> int:
@@ -306,12 +308,12 @@ def build_parser() -> CliParser:
     p.add_argument("--a", type=_three_rationals, default="1,0,0",
                    help="three comma-separated rationals (--a=-1,0,0 if the first is negative)")
     p.add_argument("--k", type=_fixed_k, default=Fraction(1, 2))
-    p.add_argument("--degree", type=_int_at_least(0), default=3)
+    p.add_argument("--degree", type=_int_at_least(0, 1 << W), default=3)
     add_common(p)
     p.set_defaults(lemma=_lemma_estrella)
     p = lemmas.add_parser("dificil", help="joint g/h solutions of the hard PDE")
     p.add_argument("--k", type=_fixed_k, default=Fraction(1, 2))
-    p.add_argument("--n", type=_int_at_least(2), default=3)
+    p.add_argument("--n", type=_int_at_least(2, 1 << W), default=3)
     add_common(p)
     p.set_defaults(lemma=_lemma_dificil)
     p = lemmas.add_parser("sn", help="exact check of the S_n recursion")

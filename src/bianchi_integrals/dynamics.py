@@ -13,6 +13,7 @@ from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
+from .multipoly import unpack
 from .vectorfields import NVARS, BianchiModel, build_F, polynomial_integrals
 
 
@@ -45,8 +46,8 @@ def coefficient_matrix(model: BianchiModel) -> np.ndarray:
     _float_k(model)
     C = np.zeros((NVARS, len(_PAIRS)))
     for row, comp in enumerate(model.fields[0]):
-        for mono, coeff in comp.terms.items():
-            pair = tuple(v for v, e in enumerate(mono) for _ in range(e))
+        for key, coeff in comp.terms.items():
+            pair = tuple(v for v, e in enumerate(unpack(key, NVARS)) for _ in range(e))
             C[row, _PAIRS.index(pair)] = float(coeff)
     return C
 

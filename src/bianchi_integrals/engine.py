@@ -92,7 +92,7 @@ def _rows(columns: Iterable[Sequence[MultiPoly]], parts: int = 1) -> Tuple[List[
     rowmaps: List[Dict[int, SparseRow]] = [defaultdict(dict) for _ in range(parts)]
     for j, images in enumerate(columns):
         for rowmap, image in zip(rowmaps, images):
-            for out, coeff in image.packed.items():
+            for out, coeff in image.terms.items():
                 rowmap[out][j] = coeff
     outputs, rows = [], []
     for out in sorted(set().union(*rowmaps), reverse=True):
@@ -155,7 +155,7 @@ def assemble_system(fields: Sequence[Field], m: int) -> LinearSystem:
 
 def _cleared(polys: Sequence[MultiPoly]) -> List[MultiPoly]:
     """The polynomials times the lcm of all their denominators, with int coefficients."""
-    d = lcm(*(c.denominator for p in polys for c in p.packed.values()))
+    d = lcm(*(c.denominator for p in polys for c in p.terms.values()))
     return [p.map_coefficients(lambda c: int(c * d)) for p in polys]
 
 
@@ -211,7 +211,7 @@ def _products(generators: Sequence[MultiPoly], m: int) -> List[MultiPoly]:
         return [MultiPoly.constant(NVARS, 1)]
     out = []
     for i, g in enumerate(generators):
-        d = max(map(sum, g.terms))
+        d = sum(unpack(max(g.terms), NVARS))  # the largest key has the top degree
         if d <= m:
             out += [g * p for p in _products(generators[i:], m - d)]
     return out
@@ -221,7 +221,7 @@ def _rank(polys: Sequence[MultiPoly]) -> int:
     """Exact rank of the polynomials over Q: the number of pivots of their
     echelon, each cleared of denominators and keyed by monomial.  The sets
     are small, so a rank mod p would not pay for itself."""
-    return len(echelon([_cleared([p])[0].packed for p in polys]))
+    return len(echelon([_cleared([p])[0].terms for p in polys]))
 
 
 def degree_sweep(model: BianchiModel, m_max: int) -> dict:

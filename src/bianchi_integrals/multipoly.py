@@ -10,21 +10,21 @@ The key of a product of monomials is the sum of their keys, and x_i has a
 fixed unit key, so d/dx_i subtracts that key and reads one field.  A
 product or power of degree 2^W or more raises OverflowError.
 
-The layout stays in this module.  ``MultiPoly(n, {mono: c})``, the term
-c*x^mono, takes exponent tuples of non-negative ints, and ``terms`` is a
-read-only view of the terms keyed by exponent tuple; ``packed`` holds them
-by key, for the hot paths that add keys.  ``MultiPoly(n)`` is the zero
-polynomial in n variables, and a polynomial is false exactly when it is
-zero.  ``to_text`` prints a coefficient that is neither an int nor a
-Fraction in parentheses: "(c0 + c1*k)" for a polynomial at symbolic k.
+The layout stays in this module, and so does lie_derivative, whose loop
+subtracts unit keys and reads fields.  ``terms`` is the one dict of a
+polynomial's terms, keyed by this key; ``unpack`` gives a key's exponents.
+``MultiPoly(n, {mono: c})``, the term c*x^mono, takes exponent tuples of
+non-negative ints.  ``MultiPoly(n)`` is the zero polynomial in n
+variables, and a polynomial is false exactly when it is zero.
+``to_text`` prints a coefficient that is neither an int nor a Fraction in
+parentheses: "(c0 + c1*k)" for a polynomial at symbolic k.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
 
@@ -83,51 +83,26 @@ def monomials(nvars: int, degree: int) -> List[int]:
     return [key + left for key, left in heads]
 
 
-class Terms(Mapping):
-    """Read-only view of a polynomial's terms, keyed by exponent tuple."""
-
-    __slots__ = ("_packed", "_nvars")
-
-    def __init__(self, packed: Dict[int, object], nvars: int):
-        self._packed = packed
-        self._nvars = nvars
-
-    def __getitem__(self, mono) -> object:
-        try:
-            key = pack(mono) if len(mono) == self._nvars else None
-        except (TypeError, ValueError, OverflowError):
-            key = None
-        if key not in self._packed:
-            raise KeyError(mono)
-        return self._packed[key]
-
-    def __iter__(self) -> Iterator[Monomial]:
-        return (unpack(key, self._nvars) for key in self._packed)
-
-    def __len__(self) -> int:
-        return len(self._packed)
-
-
 class MultiPoly:
     """Sparse polynomial: dict from monomial key to nonzero coefficient."""
 
-    __slots__ = ("nvars", "packed")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Optional[Dict[Monomial, object]] = None):
         self.nvars = nvars
-        self.packed: Dict[int, object] = {}
+        self.terms: Dict[int, object] = {}
         for mono, coeff in (terms or {}).items():
             mono = tuple(mono)
             if len(mono) != nvars:
                 raise ValueError("monomial %r has wrong arity for %d variables" % (mono, nvars))
             key = pack(mono)
             if coeff:
-                self.packed[key] = coeff
+                self.terms[key] = coeff
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _of(cls, nvars: int, packed: Dict[int, object]) -> "MultiPoly":
+    def _of(cls, nvars: int, terms: Dict[int, object]) -> "MultiPoly":
         """A polynomial that takes over a dict of terms keyed by packed
         monomial; zero coefficients are dropped here, once.
 
@@ -136,11 +111,11 @@ class MultiPoly:
         exactly when its monomial has that degree, so the largest key
         tells whether any monomial overflowed.
         """
-        if packed and max(packed) >> (nvars + 1) * W:
+        if terms and max(terms) >> (nvars + 1) * W:
             raise OverflowError("a monomial of degree 2^%d or more" % W)
         result = cls.__new__(cls)
         result.nvars = nvars
-        result.packed = packed if all(packed.values()) else {key: c for key, c in packed.items() if c}
+        result.terms = terms if all(terms.values()) else {key: c for key, c in terms.items() if c}
         return result
 
     @classmethod
@@ -153,25 +128,17 @@ class MultiPoly:
 
     # -- queries -----------------------------------------------------------
 
-    @property
-    def terms(self) -> Terms:
-        return Terms(self.packed, self.nvars)
-
     def __bool__(self) -> bool:
-        return bool(self.packed)
-
-    def ordered_terms(self) -> List[Tuple[Monomial, object]]:
-        """Terms in canonical order, largest monomial first."""
-        return [(unpack(key, self.nvars), self.packed[key]) for key in sorted(self.packed, reverse=True)]
+        return bool(self.terms)
 
     def leading_coefficient(self):
-        if not self.packed:
+        if not self.terms:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.packed[max(self.packed)]
+        return self.terms[max(self.terms)]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
-            return self.nvars == other.nvars and self.packed == other.packed
+            return self.nvars == other.nvars and self.terms == other.terms
         return NotImplemented
 
     __hash__ = None  # mutable dict inside; value identity is by __eq__
@@ -191,15 +158,15 @@ class MultiPoly:
         other = self._as_poly(other)
         if other is None:
             return NotImplemented
-        out = dict(self.packed)
-        for key, coeff in other.packed.items():
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
             out[key] = out[key] + coeff if key in out else coeff
         return MultiPoly._of(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._of(self.nvars, {key: -c for key, c in self.packed.items()})
+        return MultiPoly._of(self.nvars, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._as_poly(other)
@@ -212,8 +179,8 @@ class MultiPoly:
         if other is None:
             return NotImplemented
         out: Dict[int, object] = {}
-        for ka, ca in self.packed.items():
-            for kb, cb in other.packed.items():
+        for ka, ca in self.terms.items():
+            for kb, cb in other.terms.items():
                 key = ka + kb
                 if key in out:
                     out[key] += ca * cb
@@ -242,14 +209,14 @@ class MultiPoly:
         return result
 
     def map_coefficients(self, fn) -> "MultiPoly":
-        return MultiPoly._of(self.nvars, {key: fn(c) for key, c in self.packed.items()})
+        return MultiPoly._of(self.nvars, {key: fn(c) for key, c in self.terms.items()})
 
     # -- calculus and substitution ----------------------------------------
 
     def partial_derivative(self, var_index: int) -> "MultiPoly":
         shift, unit = variable_field(self.nvars, var_index)
         out: Dict[int, object] = {}
-        for key, coeff in self.packed.items():
+        for key, coeff in self.terms.items():
             e = key >> shift & MASK
             if e:
                 out[key - unit] = coeff * e
@@ -260,7 +227,7 @@ class MultiPoly:
         if len(point) != self.nvars:
             raise ValueError("point has %d entries, expected %d" % (len(point), self.nvars))
         total = 0
-        for key, value in self.packed.items():
+        for key, value in self.terms.items():
             for x, e in zip(point, unpack(key, self.nvars)):
                 if e:
                     value = value * x ** e
@@ -270,14 +237,14 @@ class MultiPoly:
     # -- text form ---------------------------------------------------------
 
     def to_text(self) -> str:
-        if not self.packed:
+        if not self.terms:
             return "0"
         names = ["x%d" % (i + 1) for i in range(self.nvars)]
         pieces = []
-        for mono, coeff in self.ordered_terms():
+        for key, coeff in sorted(self.terms.items(), reverse=True):
             var_part = "*".join(
                 n if e == 1 else "%s^%d" % (n, e)
-                for n, e in zip(names, mono)
+                for n, e in zip(names, unpack(key, self.nvars))
                 if e
             )
             if not isinstance(coeff, (int, Fraction)):
@@ -306,3 +273,29 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return "MultiPoly(%d, %s)" % (self.nvars, self.to_text())
+
+
+def lie_derivative(X: Sequence[MultiPoly], p: MultiPoly) -> MultiPoly:
+    """sum_i X_i * dp/dx_i, computed exactly.
+
+    Expanded term by term into one dict of keys: a term c*x^a of p with
+    a_i > 0 meets each term d*x^b of X_i in d*a_i*c * x^(a-e_i+b), whose key
+    is key(a) - key(x_i) + key(b).  Zero sums are dropped once, at the end.
+    """
+    n = p.nvars
+    if n != len(X):
+        raise ValueError("variable count mismatch")
+    out: Dict[int, object] = {}
+    for a, c in p.terms.items():
+        for (shift, unit), comp in zip(variable_fields(n), X):
+            e = a >> shift & MASK
+            if e:
+                lowered = a - unit
+                ce = c * e
+                for b, d in comp.terms.items():
+                    mono = lowered + b
+                    if mono in out:
+                        out[mono] += d * ce
+                    else:
+                        out[mono] = d * ce
+    return MultiPoly._of(n, out)

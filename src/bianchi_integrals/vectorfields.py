@@ -1,5 +1,8 @@
 """Bianchi class A vector fields, Lie derivatives and integral verification.
 
+The Lie derivative X(P), lie_derivative, is defined in multipoly next to
+the monomial key layout that its loop reads, and imported here.
+
 A model is its tag and k: the tag fixes the sign pattern (n1, n2, n3),
 and k is a fixed rational or None for symbolic k.  A vector field on Q^n
 is the tuple of its n MultiPoly components, built at one rational k.
@@ -14,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .coefficients import SYMBOLIC_K, KPoly
-from .multipoly import MASK, MultiPoly, variable_fields
+from .multipoly import MultiPoly, lie_derivative
 
 NVARS = 6
 
@@ -107,35 +110,8 @@ def text_at(values: Sequence[MultiPoly]) -> str:
         return values[0].to_text()
     c0, at_one = values
     c1 = at_one - c0
-    return MultiPoly(c0.nvars, {m: KPoly((c0.terms.get(m, 0), c1.terms.get(m, 0)))
-                                for m in c0.terms.keys() | c1.terms.keys()}).to_text()
-
-
-def lie_derivative(X: Field, p: MultiPoly) -> MultiPoly:
-    """sum_i X_i * dp/dx_i, computed exactly.
-
-    Expanded term by term into one dict of packed monomials: a term c*x^a
-    of p with a_i > 0 meets each term d*x^b of X_i in d*a_i*c * x^(a-e_i+b),
-    whose key is key(a) - key(x_i) + key(b).  Zero sums are dropped once,
-    at the end.
-    """
-    n = p.nvars
-    if n != len(X):
-        raise ValueError("variable count mismatch")
-    out: Dict[int, object] = {}
-    for a, c in p.packed.items():
-        for (shift, unit), comp in zip(variable_fields(n), X):
-            e = a >> shift & MASK
-            if e:
-                lowered = a - unit
-                ce = c * e
-                for b, d in comp.packed.items():
-                    mono = lowered + b
-                    if mono in out:
-                        out[mono] += d * ce
-                    else:
-                        out[mono] = d * ce
-    return MultiPoly._of(n, out)
+    return MultiPoly._of(c0.nvars, {m: KPoly((c0.terms.get(m, 0), c1.terms.get(m, 0)))
+                                    for m in c0.terms.keys() | c1.terms.keys()}).to_text()
 
 
 def verify_weighted_power_integral(X: Field, tag: str, k: Fraction) -> MultiPoly:

@@ -8,7 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from bianchi_integrals.engine import assemble_system
-from bianchi_integrals.multipoly import MultiPoly
+from bianchi_integrals.multipoly import MultiPoly, unpack
 from bianchi_integrals.nullspace import _components, _join, sparse_kernel_basis
 from bianchi_integrals.vectorfields import BianchiModel
 
@@ -43,10 +43,15 @@ def connected_blocks(rows, ncols):
     return _components(root, rows)
 
 
+def exponent_terms(p):
+    """The terms of p keyed by exponent tuple, decoded from its keys."""
+    return {unpack(key, p.nvars): coeff for key, coeff in p.terms.items()}
+
+
 def homogeneous_parts(p):
     """p split by degree: {degree: the terms of p of that degree}."""
     parts = {}
-    for mono, coeff in p.terms.items():
+    for mono, coeff in exponent_terms(p).items():
         parts.setdefault(sum(mono), {})[mono] = coeff
     return {d: MultiPoly(p.nvars, terms) for d, terms in parts.items()}
 

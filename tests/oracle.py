@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from bianchi_integrals.engine import enumerate_monomials
-from bianchi_integrals.multipoly import MultiPoly
+from bianchi_integrals.multipoly import MultiPoly, unpack
 
 FD_STEP = 1e-6
 SINGULAR_VALUE_TOL = 1e-6
@@ -89,8 +89,9 @@ def annihilation_matrix(fields, m):
     matrix = []
     for X in fields:
         images = [product_rule_image(X, MultiPoly(len(X), {mono: 1})) for mono in columns]
-        outs = sorted({mono for img in images for mono in img.terms}, key=lambda m: (sum(m), m), reverse=True)
-        matrix += [[Fraction(img.terms.get(mono, 0)) for img in images] for mono in outs]
+        images = [{unpack(key, len(X)): c for key, c in img.terms.items()} for img in images]
+        outs = sorted({mono for img in images for mono in img}, key=lambda m: (sum(m), m), reverse=True)
+        matrix += [[Fraction(img.get(mono, 0)) for img in images] for mono in outs]
     return matrix, columns
 
 

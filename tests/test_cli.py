@@ -423,6 +423,9 @@ class TestUsageErrors:
             # a repeated k would be reported twice
             ["report", "--k-samples", "1/2,1/2"],
             ["report", "--k-samples", "1/2,0.5"],
+            # a degree of 2^32 or more does not fit a monomial key
+            ["lemma", "estrella", "--degree", "4294967296"],
+            ["lemma", "dificil", "--n", "4294967296"],
         ],
     )
     def test_bad_value_exits_one_with_one_line_message(self, capsys, argv):

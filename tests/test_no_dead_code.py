@@ -23,6 +23,10 @@ A second scan, module by module, checks that every name an import binds in
 a ``src/`` module occurs in that module as a ``Name`` node: an import the
 module does not use is left over from deleted code.  ``from __future__``
 imports are exempt, as they bind nothing.
+
+A third scan keeps the bit layout of a monomial key in ``multipoly``: no
+other ``src/`` module imports ``MASK``, ``variable_fields`` or
+``variable_field``, or reads one of them as an attribute.
 """
 
 import ast
@@ -58,6 +62,17 @@ from typing import Optional as Maybe
 def halve(a: Maybe[int]) -> int:
     return gcd(a, 2)
 """
+
+LAYOUT_CASE = """
+from .multipoly import MASK, MultiPoly
+from . import multipoly
+
+def field(key, n):
+    return key >> multipoly.variable_fields(n)[0][0]
+"""
+
+# The names of multipoly that know how a monomial key is laid out.
+LAYOUT = ("MASK", "variable_fields", "variable_field")
 
 # The kinds of use that count for each kind of definition.
 COUNTS = {
@@ -153,3 +168,25 @@ def test_every_import_in_src_is_used_in_its_module():
 
 def test_an_unused_import_is_caught():
     assert _unused_imports(ast.parse(IMPORT_CASE)) == ["os", "lcm"]
+
+
+def _layout_reads(tree):
+    """Each name of LAYOUT that the module imports or reads as an attribute."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+    return [name for name in names if name in LAYOUT]
+
+
+def test_only_multipoly_knows_the_key_layout():
+    reads = ["%s:%s" % (path.name, name)
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "multipoly.py"
+             for name in _layout_reads(ast.parse(path.read_text(), str(path)))]
+    assert reads == []
+
+
+def test_a_read_of_the_key_layout_is_caught():
+    assert _layout_reads(ast.parse(LAYOUT_CASE)) == ["MASK", "variable_fields"]
