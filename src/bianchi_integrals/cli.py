@@ -317,7 +317,8 @@ def build_parser() -> CliParser:
     add_common(p)
     p.set_defaults(lemma=_lemma_dificil)
     p = lemmas.add_parser("sn", help="exact check of the S_n recursion")
-    p.add_argument("--n", type=_int_at_least(2), default=3)
+    # A2^(2n-2) fits the monomial key while 2n - 2 < 2^W.
+    p.add_argument("--n", type=_int_at_least(2, (1 << W - 1) + 1), default=3)
     add_common(p)
     p.set_defaults(lemma=_lemma_sn)
 

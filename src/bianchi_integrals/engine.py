@@ -4,21 +4,20 @@ The annihilation condition X(P) = 0 on a degree-m homogeneous ansatz is
 assembled as an exact linear system whose kernel is the space of degree-m
 polynomial first integrals.  A model gives one field per k it is built
 at, two at symbolic k.  X(P) is affine in k, so it is zero for every k
-exactly when it is zero at both k of SYMBOLIC_K = (0, 1): the kernel of
-the two systems stacked is the symbolic kernel.  That is the kernel of any
-basis of the span of X(0) and X(1), so the system stacks the sparsest pair
-known: X(1), which has no (k-1)/4 terms, and V = d/dx4 + d/dx5 + d/dx6.
-X(1) - X(0) = (1/4) F (0, 0, 0, 1, 1, 1) is G V with G = F/4, and
-G V(P) = 0 exactly when V(P) = 0, as Q[x] has no zero divisors.  That
-factorisation is checked on the fields themselves; where it fails, the
-difference stays the second part.  The entries are Python ints.  Kernel
-bases are recomputed canonically and re-verified, in integers, against the
-Lie derivative of every field the model is built at, so a part that lets
-in a vector outside the symbolic kernel raises a SoundnessError.  The
-expected degree-m kernel is the span of the products of the model's known
-integrals whose degrees sum to m; a kernel matches it when
-rank(products) = rank(kernel) = rank(products and kernel) = the kernel's
-length, which also rules out a repeated or dependent vector.
+exactly when it is zero at both k of SYMBOLIC_K = (0, 1).  That is the
+common kernel of X(1), which has no (k-1)/4 terms, and V = d/dx4 + d/dx5
++ d/dx6: X(1) - X(0) = (1/4) F (0, 0, 0, 1, 1, 1) is G V with G = F/4,
+and G V(P) = 0 exactly when V(P) = 0, as Q[x] has no zero divisors.  That
+factorisation is checked on the fields themselves.  The system is that of
+the one field X(1) + V: X(1) is quadratic and V constant, so on a
+homogeneous P their images have degrees m+1 and m-1 and are zero together.
+The entries are Python ints.  Kernel bases are recomputed canonically and
+re-verified, in integers, against the Lie derivative of every field the
+model is built at, so a vector outside the symbolic kernel raises a
+SoundnessError.  The expected degree-m kernel is the span of the products
+of the model's known integrals whose degrees sum to m; a kernel matches it
+when rank(products) = rank(kernel) = rank(products and kernel) = the
+kernel's length, which also rules out a repeated or dependent vector.
 """
 
 from __future__ import annotations
@@ -55,10 +54,10 @@ def enumerate_monomials(nvars: int, degree: int) -> List[Monomial]:
 class LinearSystem:
     """Sparse matrix of the annihilation condition.
 
-    Rows are ordered by (output monomial, part index), as _rows sorts them;
-    a fixed k has one part.  Columns follow the ansatz monomial order.  The
-    rows, Python ints, are those of the parts assemble_system builds, and
-    outputs holds the packed key of each row's output monomial.
+    Rows are ordered by output monomial, largest first, as _rows sorts
+    them, and columns follow the ansatz monomial order.  The rows are
+    Python ints, and outputs holds the packed key of each row's output
+    monomial.
     """
 
     columns: Tuple[Monomial, ...]
@@ -81,36 +80,25 @@ class LinearSystem:
                 list(map(_filtration_label, leading_exponents(self.outputs, len(self.columns[0]), 3))))
 
 
-def _rows(columns: Iterable[Sequence[MultiPoly]], parts: int = 1) -> Tuple[List[int], List[SparseRow]]:
+def _rows(images: Iterable[MultiPoly]) -> Tuple[List[int], List[SparseRow]]:
     """The packed output monomial of each row and the sparse rows of the
-    linear map sending unknown j to column j's images.
-
-    Column j holds one image per part, so each row is keyed by (output
-    monomial, part index), largest first, and the kernel annihilates every
-    part at once.  Each part keeps its own rows by output key.
-    """
-    rowmaps: List[Dict[int, SparseRow]] = [defaultdict(dict) for _ in range(parts)]
-    for j, images in enumerate(columns):
-        for rowmap, image in zip(rowmaps, images):
-            for out, coeff in image.terms.items():
-                rowmap[out][j] = coeff
-    outputs, rows = [], []
-    for out in sorted(set().union(*rowmaps), reverse=True):
-        for rowmap in reversed(rowmaps):
-            row = rowmap.get(out)
-            if row is not None:
-                outputs.append(out)
-                rows.append(row)
-    return outputs, rows
+    linear map sending unknown j to the j-th image, keyed by output
+    monomial, largest first."""
+    rowmap: Dict[int, SparseRow] = defaultdict(dict)
+    for j, image in enumerate(images):
+        for out, coeff in image.terms.items():
+            rowmap[out][j] = coeff
+    outputs = sorted(rowmap, reverse=True)
+    return outputs, [rowmap[out] for out in outputs]
 
 
 def _direction(D: Field) -> Field:
-    """The constant field V with D = G V for a polynomial G, if there is
-    one, else D itself; both have the kernel of D.
+    """The constant field V with D = G V for a polynomial G; D(P) = G V(P)
+    is 0 exactly when V(P) is.
 
     D is G V exactly when every nonzero component is a rational multiple
     of one polynomial G, the first of them, and V holds those multiples.
-    Then D(P) = G V(P), which is 0 exactly when V(P) is.
+    A zero D is its own V; any other D raises ValueError.
     """
     nonzero = [comp for comp in D if comp]
     if not nonzero:
@@ -120,36 +108,36 @@ def _direction(D: Field) -> Field:
     scales = [Fraction(comp.terms.get(mono, 0)) / g for comp in D]
     if any(comp.terms != {m: s * c for m, c in G.terms.items() if s}
            for comp, s in zip(D, scales)):
-        return D
+        raise ValueError("the difference of the two fields is not G times a constant field")
     return tuple(MultiPoly.constant(len(D), s) for s in scales)
 
 
 def assemble_system(fields: Sequence[Field], m: int) -> LinearSystem:
     """Linear system whose kernel is {degree-m homogeneous first integrals of every field}.
 
-    One field is its own part.  Two fields X_0, X_1 have the common kernel
-    of any basis of their span; the parts are X_1, which is X(1) for the
-    fields at SYMBOLIC_K = (0, 1), and _direction(X_1 - X_0), which is
-    d/dx4 + d/dx5 + d/dx6 there and the difference itself for a pair where
-    the factorisation check fails.  At symbolic k both parts keep the
-    x1..x3 exponent of a monomial or raise it by 2, as the filtration
-    labels ask.  Each part, cleared by _cleared, gives one Lie derivative
-    per ansatz monomial: a row belongs to one part and is a positive
-    multiple of a row of that part's system, so it has the same primitive
-    integer row.  No output names the parts.
+    Two fields X_0, X_1 have the common kernel of X_1 and
+    V = _direction(X_1 - X_0), which are X(1) and d/dx4 + d/dx5 + d/dx6
+    for the fields at SYMBOLIC_K = (0, 1).  The system is that of the one
+    field X_1 + V: a homogeneous P has images of degrees m+1 and m-1 under
+    the quadratic X(1) and the constant V, so the sum is 0 exactly when both
+    are, and its rows are theirs.  Both keep the x1..x3 exponent of a
+    monomial or raise it by 2, as the filtration labels ask.  The field,
+    cleared by _cleared, gives one Lie derivative per ansatz monomial, so
+    each row is a positive multiple of a row of the field's own system.
     """
     if m < 1:
         raise ValueError("ansatz degree must be >= 1")
-    parts = list(fields)
-    if len(parts) == 2:
-        X0, X1 = parts
-        parts = [X1, _direction(tuple(b - a for a, b in zip(X0, X1)))]
-    nvars = len(parts[0])
+    if len(fields) == 2:
+        X0, X1 = fields
+        V = _direction(tuple(b - a for a, b in zip(X0, X1)))
+        fields = [tuple(a + b for a, b in zip(X1, V))]
+    if len(fields) != 1:
+        raise ValueError("need one field, or the two at symbolic k, not %d" % len(fields))
+    X = _cleared(fields[0])
+    nvars = len(X)
     keys = monomials(nvars, m)
-    parts = [_cleared(X) for X in parts]
-    # A generator, so each column's images are dropped once its rows are read.
-    outputs, rows = _rows(([lie_derivative(X, MultiPoly._of(nvars, {key: 1})) for X in parts]
-                           for key in keys), len(parts))
+    # A generator, so each image is dropped once its rows are read.
+    outputs, rows = _rows(lie_derivative(X, MultiPoly._of(nvars, {key: 1})) for key in keys)
     return LinearSystem(tuple(unpack(key, nvars) for key in keys), outputs, rows)
 
 
@@ -324,7 +312,7 @@ def _transport_kernel(linear: MultiPoly, k: Fraction, m: int,
         g = MultiPoly(NVARS, {mono: 1})
         images.append(linear * g + lie_derivative(transport, g))
     images += extra
-    vectors, _ = sparse_kernel_basis(_rows(zip(images))[1], len(images))
+    vectors, _ = sparse_kernel_basis(_rows(images)[1], len(images))
     return monos, vectors
 
 

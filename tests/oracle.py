@@ -2,8 +2,9 @@
 
 Deliberately separate from the package's sparse fraction-free path: plain
 textbook Gauss-Jordan over Fraction on dense list-of-lists matrices, with
-its own matrix assembly from the product rule X(p) = sum_i X_i dp/dx_i,
-built with MultiPoly products and sums rather than `lie_derivative`.
+its own list of ansatz monomials and its own matrix assembly from the
+product rule X(p) = sum_i X_i dp/dx_i, built with MultiPoly products and
+sums rather than `lie_derivative`.
 
 The float Jacobian and its singular values cross-check the exact
 independence rank numerically, from the float invariants of `dynamics`.
@@ -13,7 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from bianchi_integrals.engine import enumerate_monomials
 from bianchi_integrals.multipoly import MultiPoly, unpack
 
 FD_STEP = 1e-6
@@ -81,11 +81,18 @@ def dense_kernel(matrix, ncols):
     return basis
 
 
+def degree_monomials(nvars, m):
+    """Every degree-m exponent tuple in nvars variables, lexicographically largest first."""
+    if nvars == 1:
+        return [(m,)]
+    return [(e,) + rest for e in range(m, -1, -1) for rest in degree_monomials(nvars - 1, m - e)]
+
+
 def annihilation_matrix(fields, m):
     """Dense matrix of the degree-m annihilation condition of every field at
     once, assembled directly from the product-rule images of the ansatz
     monomials: one row per field and output monomial."""
-    columns = enumerate_monomials(len(fields[0]), m)
+    columns = degree_monomials(len(fields[0]), m)
     matrix = []
     for X in fields:
         images = [product_rule_image(X, MultiPoly(len(X), {mono: 1})) for mono in columns]

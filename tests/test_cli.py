@@ -426,6 +426,9 @@ class TestUsageErrors:
             # a degree of 2^32 or more does not fit a monomial key
             ["lemma", "estrella", "--degree", "4294967296"],
             ["lemma", "dificil", "--n", "4294967296"],
+            # A2^(2n-2) needs 2n - 2 < 2^32
+            ["lemma", "sn", "--n", "2147483649"],
+            ["lemma", "sn", "--n", "4294967296"],
         ],
     )
     def test_bad_value_exits_one_with_one_line_message(self, capsys, argv):

@@ -22,6 +22,7 @@ from bianchi_integrals.nullspace import sparse_kernel_basis
 from bianchi_integrals.vectorfields import (
     BIANCHI_TABLE,
     BianchiModel,
+    build_F,
     build_bianchi,
     lie_derivative,
     polynomial_integrals,
@@ -60,6 +61,8 @@ class TestAssembleSystem:
         fields = model_fields("IX", Fraction(1, 2))
         system = assemble_system(fields, 1)
         assert system.ncols == 6
+        # Two equal fields have a zero difference, so their rows are the field's.
+        assert assemble_system(fields * 2, 1) == system
         rows, keys = _part_rows(fields, system.columns)
         assert all(sum(mono) == 2 and f == 0 for mono, f in keys)
         assert system.outputs == [pack(mono) for mono, _ in keys]
@@ -83,26 +86,21 @@ class TestAssembleSystem:
             stacked, _ = _part_rows([X0, tuple(b - a for a, b in zip(X0, X1))], system.columns)
             assert sum(map(len, system.rows)) < sum(map(len, stacked))
 
-    def test_a_difference_that_is_not_G_times_a_constant_field_stays_a_part(self):
+    def test_a_difference_that_is_not_G_times_a_constant_field_raises(self):
         # Type II at k = 0 and at k = 1/2 with x4^2 added to X_4: the
         # difference is (0, 0, 0, F/8 + x4^2, F/8, F/8), no multiple of one
-        # polynomial, and x5 - x6 still annihilates both fields.
+        # polynomial.  Three fields are no model's fields either.
         X0 = build_bianchi("II", Fraction(0))
         x4 = MultiPoly.variable(6, 3)
         X1 = tuple(comp + x4 * x4 if i == 3 else comp
                    for i, comp in enumerate(build_bianchi("II", Fraction(1, 2))))
-        D = tuple(b - a for a, b in zip(X0, X1))
-        assert engine._direction(D) is D
-        for m in (1, 2, 3):
-            system = assemble_system([X0, X1], m)
-            rows, keys = _part_rows([X1, D], system.columns)
-            # Each part is cleared on its own: X1 needs 8 for its (1/2 - 1)/4,
-            # and D needs 8 for its F/8.
-            for part, d in ((0, 8), (1, 8)):
-                at = [i for i, (_, f) in enumerate(keys) if f == part]
-                assert _row_multiples([system.rows[i] for i in at], [rows[i] for i in at]) == {d}
-            oracle_vectors, _ = oracle.kernel_oracle([X0, X1], m)
-            assert kernel_vectors([X0, X1], m) == oracle_vectors != []
+        with pytest.raises(ValueError):
+            engine._direction(tuple(b - a for a, b in zip(X0, X1)))
+        three = list(model_fields("I", None)) + [build_bianchi("I", Fraction(1, 2))]
+        for fields in ([X0, X1], three):
+            for build in (assemble_system, kernel_basis):
+                with pytest.raises(ValueError):
+                    build(fields, 2)
 
     def test_rejects_degree_zero(self):
         with pytest.raises(ValueError):
@@ -267,12 +265,14 @@ class TestKernelContents:
             kernel_basis([X], 3)
 
     def test_soundness_recheck_reads_every_field(self, monkeypatch):
-        # x4 - x5 annihilates the type I field but not the type IX one.
-        fields = [build_bianchi("I", Fraction(1, 2)), build_bianchi("IX", Fraction(1, 2))]
+        # x4 annihilates type I's field at k = 1 but not at k = 0, where X(x4) = -F/4.
+        X0, X1 = fields = model_fields("I", None)
         columns = enumerate_monomials(6, 1)
-        x4_minus_x5 = tuple(Fraction({3: 1, 4: -1}.get(j, 0)) for j in range(len(columns)))
-        assert not lie_derivative(fields[0], engine._vector_to_poly(x4_minus_x5, columns))
-        monkeypatch.setattr(engine, "sparse_kernel_basis", lambda rows, ncols, labels=None: ([x4_minus_x5], 5))
+        x4 = tuple(Fraction(int(j == 3)) for j in range(len(columns)))
+        poly = engine._vector_to_poly(x4, columns)
+        assert not lie_derivative(X1, poly)
+        assert lie_derivative(X0, poly) == Fraction(-1, 4) * build_F(*BIANCHI_TABLE["I"])
+        monkeypatch.setattr(engine, "sparse_kernel_basis", lambda rows, ncols, labels=None: ([x4], 5))
         with pytest.raises(SoundnessError):
             kernel_basis(fields, 1)
 
