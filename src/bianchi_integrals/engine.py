@@ -73,11 +73,11 @@ class LinearSystem:
         return len(self.rows)
 
     @property
-    def labels(self) -> Tuple[List[Tuple[int, Monomial]], List[Tuple[int, Monomial]]]:
-        """The filtration label of each column and of each row, for
+    def levels(self) -> Tuple[List[int], List[int]]:
+        """The filtration level of each column and of each row, for
         sparse_kernel_basis; only the x1..x3 exponents of the outputs are decoded."""
-        return ([_filtration_label(c[:3]) for c in self.columns],
-                list(map(_filtration_label, leading_exponents(self.outputs, len(self.columns[0]), 3))))
+        return ([_level(c[:3]) for c in self.columns],
+                list(map(_level, leading_exponents(self.outputs, len(self.columns[0]), 3))))
 
 
 def _rows(images: Iterable[MultiPoly]) -> Tuple[List[int], List[SparseRow]]:
@@ -121,7 +121,7 @@ def assemble_system(fields: Sequence[Field], m: int) -> LinearSystem:
     field X_1 + V: a homogeneous P has images of degrees m+1 and m-1 under
     the quadratic X(1) and the constant V, so the sum is 0 exactly when both
     are, and its rows are theirs.  Both keep the x1..x3 exponent of a
-    monomial or raise it by 2, as the filtration labels ask.  The field,
+    monomial or raise it by 2, as the filtration levels ask.  The field,
     cleared by _cleared, gives one Lie derivative per ansatz monomial, so
     each row is a positive multiple of a row of the field's own system.
     """
@@ -156,29 +156,28 @@ def _vector_to_poly(vec: Sequence[Fraction], columns: Sequence[Monomial]) -> Mul
 
 
 @lru_cache(maxsize=None)
-def _filtration_label(alpha: Tuple[int, int, int]) -> Tuple[int, Tuple[int, int, int]]:
-    """(level, group) of the monomials whose exponent in x1..x3 is alpha.
+def _level(alpha: Tuple[int, int, int]) -> int:
+    """The filtration level of the monomials whose exponent in x1..x3 is alpha.
 
-    The group is alpha and the level |alpha|, but every alpha with
-    |alpha| <= 2 is one group at level 2, as the block of alpha = 0 alone
-    holds every G(x4 - x5, x4 - x6) in its kernel.  A field is X0 + X2: for
-    i <= 3, X_i is x_i times a form in x4..x6, and X_(3+i) is a multiple of
-    F123 plus a form of degree 2 in x1..x3.  X0 keeps alpha and X2 raises
-    |alpha| by 2, so a row has entries only in columns of its own group or
-    of a lower level; sparse_kernel_basis checks this on the rows.  Cached,
-    so that equal labels are one object.
+    The level is |alpha|, but every alpha with |alpha| <= 2 is at level 2,
+    as the block of alpha = 0 alone holds every G(x4 - x5, x4 - x6) in its
+    kernel.  A field is X0 + X2: for i <= 3, X_i is x_i times a form in
+    x4..x6, and X_(3+i) is a multiple of F123 plus a form of degree 2 in
+    x1..x3.  X0 keeps alpha and X2 raises |alpha| by 2, so a row has
+    entries only in columns of its own level or a lower one;
+    sparse_kernel_basis checks this on the rows.  Above level 2, X0
+    keeping alpha splits each diagonal block into pieces by alpha.
     """
-    level = sum(alpha)
-    return (level, alpha) if level > 2 else (2, (0, 0, 0))
+    return max(sum(alpha), 2)
 
 
 def kernel_basis(fields: Sequence[Field], m: int) -> List[MultiPoly]:
     """Canonical basis of the degree-m first integrals common to every field,
     over the rationals, with a post-hoc soundness re-check against each field.
-    Columns and rows are labelled by the x1..x3 filtration, so that an empty
+    Columns and rows get their x1..x3 filtration level, so that an empty
     kernel is certified on the diagonal blocks."""
     system = assemble_system(fields, m)
-    vectors, _rank = sparse_kernel_basis(system.rows, system.ncols, system.labels)
+    vectors, _rank = sparse_kernel_basis(system.rows, system.ncols, system.levels)
     basis = [_vector_to_poly(v, system.columns) for v in vectors]
     # In integers: d*X(e*P) = d*e*X(P) with d, e > 0, so the verdict is the same.
     integral = [_cleared(X) for X in fields]

@@ -14,20 +14,20 @@ width share a (B, R, W) numpy int64 array, the narrower padded with unit
 columns that add exactly the padding to their rank, and one elimination
 over the array gives each block its verdict.
 
-A caller may also label each column and each row with (level, group).  If
-every entry of a row lies in a column of the row's own label or of a lower
-level, the matrix is block lower triangular, with one diagonal block per
-label, and it has full column rank when every diagonal block has: the
-part of a kernel vector on the lowest level where it is nonzero lies in
-the kernel of that level's diagonal blocks.  The order is checked in one
-pass over the nonzeros, which splits the rows into their diagonal entries
-and links below them.  A matrix with no labels, or one that fails the
-check, is its own diagonal with no links.  Every matrix then takes one
-pipeline: a union-find splits the diagonal into connected pieces, and
-the stacked elimination runs on all of them.  If every piece passes, the
-kernel is empty.  Otherwise the union-find goes on over the links to join
-the pieces into the components of the whole matrix, and only the
-components that hold a failed piece take the exact path, since a
+A caller may also give each column and each row an int level.  If every
+entry of a row lies in a column of its level or a lower one, the matrix is
+block lower triangular, with one diagonal block per level, and it has full
+column rank when every diagonal block has: on the lowest level L where a
+kernel vector is nonzero, the rows of level L see only its part on level
+L, which so lies in the kernel of that level's block.  The order is
+checked in one pass over the nonzeros, which splits the rows into their
+diagonal entries and links below them.  A matrix with no levels, or one
+that fails the check, is its own diagonal with no links.  Every matrix
+then takes one pipeline: a union-find splits the diagonal into connected
+pieces, and the stacked elimination runs on all of them.  If every piece
+passes, the kernel is empty.  Otherwise the union-find goes on over the
+links to join the pieces into the components of the whole matrix, and only
+the components that hold a failed piece take the exact path, since a
 component is block triangular with its own pieces on the diagonal.  They
 take it in one elimination, columns ascending: rows of different
 components share no column, so each gets its own canonical vectors.
@@ -51,50 +51,44 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 SparseRow = Dict[int, int]
-Labels = Tuple[Sequence[Tuple[int, Hashable]], Sequence[Tuple[int, Hashable]]]
 
 PIVOT_RULE = "first-nonzero"
 
 PRIME = 2**31 - 1
 
 
-def _find(root: List[int], c: int) -> int:
-    """The root of c's tree in the union-find forest root, halving its path."""
-    while root[c] != c:
-        root[c] = root[root[c]]
-        c = root[c]
-    return c
+def _trees(root: List[int], rows: Sequence[Iterable[int]]) -> List[Tuple[List[int], List]]:
+    """Join the columns of each row into the union-find forest root, and
+    return its trees as (columns, rows) pairs, each nonempty row in the
+    tree of its columns.
 
+    Columns and rows keep their order within a tree; trees are ordered by
+    their first column.
+    """
+    def find(c: int) -> int:
+        while root[c] != c:
+            root[c] = root[root[c]]  # halve the path
+            c = root[c]
+        return c
 
-def _join(root: List[int], rows: Iterable[Iterable[int]]) -> None:
-    """Join the columns of each row in the union-find forest root."""
     for row in rows:
         if row:
             first, *rest = row
-            first = _find(root, first)
+            first = find(first)
             for c in rest:
-                root[_find(root, c)] = first
-
-
-def _components(root: List[int], rows: Sequence[SparseRow]) -> List[Tuple[List[int], List[SparseRow]]]:
-    """The trees of the forest root as (columns, rows) pairs, each nonempty
-    row in the tree of its columns.
-
-    Columns and rows keep their order within a block; blocks are ordered by
-    their first column.
-    """
-    blocks: Dict[int, Tuple[List[int], List[SparseRow]]] = {}
+                root[find(c)] = first
+    trees: Dict[int, Tuple[List[int], List]] = {}
     for c in range(len(root)):
-        blocks.setdefault(_find(root, c), ([], []))[0].append(c)
+        trees.setdefault(find(c), ([], []))[0].append(c)
     for row in rows:
         if row:
-            blocks[_find(root, next(iter(row)))][1].append(row)
-    return list(blocks.values())
+            trees[find(next(iter(row)))][1].append(row)
+    return list(trees.values())
 
 
 def _stacked_full_rank(pieces: Sequence[Tuple[List[int], List[SparseRow]]]) -> List[bool]:
@@ -201,29 +195,28 @@ def _exact_kernel(rows: Sequence[SparseRow], cols: Sequence[int]) -> List[Dict[i
 
 
 def _diagonal_split(
-    rows: Sequence[SparseRow], labels: Labels
+    rows: Sequence[SparseRow], levels: Tuple[Sequence[int], Sequence[int]]
 ) -> Optional[Tuple[List[SparseRow], List[List[int]]]]:
     """The diagonal blocks' rows and the links below them, or None if an
     entry lies above them.
 
-    One pass over the nonzeros: an entry in a column of the row's own label
-    belongs to the diagonal block of that label; one in a column of a lower
-    level lies below the diagonal; any other entry breaks the order.  Each
-    row with entries below the diagonal gives one link: their columns and
-    one of its diagonal columns, so that joining the links to the diagonal
-    pieces gives the components of the whole matrix.
+    One pass over the nonzeros: an entry in a column of the row's level
+    belongs to the diagonal, one in a column of a lower level lies below it,
+    and one of a higher level breaks the order.  Each row with entries below
+    the diagonal gives one link: their columns and one of its diagonal
+    columns, so that joining the links to the diagonal pieces gives the
+    components of the whole matrix.
     """
-    col_labels, row_labels = labels
+    col_levels, row_levels = levels
     diagonal, links = [], []
-    for row, label in zip(rows, row_labels):
-        level = label[0]
+    for row, level in zip(rows, row_levels):
         own = {}
         below = []
         for c, v in row.items():
-            col_label = col_labels[c]
-            if col_label == label:
+            col_level = col_levels[c]
+            if col_level == level:
                 own[c] = v
-            elif col_label[0] >= level:
+            elif col_level > level:
                 return None
             else:  # never stored, but rows are ints on every path
                 operator.index(v)
@@ -237,26 +230,24 @@ def _diagonal_split(
 
 
 def sparse_kernel_basis(
-    rows: Sequence[SparseRow], ncols: int, labels: Optional[Labels] = None
+    rows: Sequence[SparseRow], ncols: int, levels: Optional[Tuple[Sequence[int], Sequence[int]]] = None
 ) -> Tuple[List[Tuple[Fraction, ...]], int]:
     """Kernel basis and rank of the matrix given as sparse integer rows.
 
-    labels, if given, is (column labels, row labels), each a (level, group)
-    pair; they choose only the diagonal and the links of the module docstring.
-    Every component the exact path skips has full column rank, so the rank
-    is ncols minus the number of vectors.
+    levels, if given, is (column levels, row levels), one int each; they
+    choose only the diagonal and the links of the module docstring.  Every
+    component the exact path skips has full column rank, so the rank is
+    ncols minus the number of vectors.
     """
-    split = _diagonal_split(rows, labels) if labels is not None else None
+    split = _diagonal_split(rows, levels) if levels is not None else None
     diagonal, links = split or (rows, [])
     root = list(range(ncols))
-    _join(root, diagonal)
-    pieces = _components(root, diagonal)
+    pieces = _trees(root, diagonal)
     verdicts = _stacked_full_rank(pieces)
     if all(verdicts):
         return [], ncols
-    _join(root, links)
-    failed = {_find(root, cols[0]) for (cols, _), passed in zip(pieces, verdicts) if not passed}
-    vectors = _exact_kernel([row for row in rows if row and _find(root, next(iter(row))) in failed],
-                            [c for c in range(ncols) if _find(root, c) in failed])
+    failed = {cols[0] for (cols, _), passed in zip(pieces, verdicts) if not passed}
+    reached = {c for cols, _ in _trees(root, links) if not failed.isdisjoint(cols) for c in cols}
+    vectors = _exact_kernel([row for row in rows if row and next(iter(row)) in reached], sorted(reached))
     zero = Fraction(0)
     return [tuple(vec.get(c, zero) for c in range(ncols)) for vec in vectors], ncols - len(vectors)

@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from bianchi_integrals.engine import assemble_system
 from bianchi_integrals.multipoly import MultiPoly, unpack
-from bianchi_integrals.nullspace import _components, _join, sparse_kernel_basis
+from bianchi_integrals.nullspace import _trees, sparse_kernel_basis
 from bianchi_integrals.vectorfields import BianchiModel
 
 
@@ -38,9 +38,7 @@ def random_poly(rng, nvars, max_degree=3, max_terms=6, bits=8):
 
 def connected_blocks(rows, ncols):
     """The connected blocks of the rows' row/column graph as (columns, rows) pairs."""
-    root = list(range(ncols))
-    _join(root, rows)
-    return _components(root, rows)
+    return _trees(list(range(ncols)), rows)
 
 
 def exponent_terms(p):
@@ -64,7 +62,7 @@ def model_fields(tag, k):
 def kernel_vectors(fields, m):
     """The canonical degree-m kernel vectors that engine.kernel_basis turns into polynomials."""
     system = assemble_system(fields, m)
-    return [list(v) for v in sparse_kernel_basis(system.rows, system.ncols, system.labels)[0]]
+    return [list(v) for v in sparse_kernel_basis(system.rows, system.ncols, system.levels)[0]]
 
 
 def drift_entry(report, name):

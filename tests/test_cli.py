@@ -79,7 +79,7 @@ class TestFind:
 
     def test_failed_soundness_recheck_is_one_error_line(self, capsys, monkeypatch):
         # A kernel vector outside the kernel is a wrong answer, not a usage error.
-        def wrong_kernel(rows, ncols, labels=None):
+        def wrong_kernel(rows, ncols, levels=None):
             return [tuple(Fraction(int(j == 0)) for j in range(ncols))], ncols - 1
 
         monkeypatch.setattr(engine, "sparse_kernel_basis", wrong_kernel)
@@ -372,8 +372,8 @@ class TestRepeatedKernelVector:
     def test_is_a_mismatch(self, capsys, monkeypatch, argv):
         kernel = engine.sparse_kernel_basis
 
-        def repeating(rows, ncols, labels=None):
-            vectors, rank = kernel(rows, ncols, labels)
+        def repeating(rows, ncols, levels=None):
+            vectors, rank = kernel(rows, ncols, levels)
             if len(vectors) >= 3:
                 vectors[1] = vectors[0]
             return vectors, rank

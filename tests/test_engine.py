@@ -257,7 +257,7 @@ class TestKernelContents:
         kernel_basis([X], 3)
 
         # ... and raises on a vector that is not in it
-        def wrong_kernel(rows, ncols, labels=None):
+        def wrong_kernel(rows, ncols, levels=None):
             return [tuple(Fraction(int(j == 0)) for j in range(ncols))], ncols - 1
 
         monkeypatch.setattr(engine, "sparse_kernel_basis", wrong_kernel)
@@ -272,7 +272,7 @@ class TestKernelContents:
         poly = engine._vector_to_poly(x4, columns)
         assert not lie_derivative(X1, poly)
         assert lie_derivative(X0, poly) == Fraction(-1, 4) * build_F(*BIANCHI_TABLE["I"])
-        monkeypatch.setattr(engine, "sparse_kernel_basis", lambda rows, ncols, labels=None: ([x4], 5))
+        monkeypatch.setattr(engine, "sparse_kernel_basis", lambda rows, ncols, levels=None: ([x4], 5))
         with pytest.raises(SoundnessError):
             kernel_basis(fields, 1)
 

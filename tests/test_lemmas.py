@@ -176,9 +176,9 @@ def test_lemma_rows_are_ints(solve, monkeypatch):
     # Each builder scales its images by d itself; nullspace takes int rows only.
     seen, real = [], engine.sparse_kernel_basis
 
-    def capture(rows, ncols, labels=None):
+    def capture(rows, ncols, levels=None):
         seen.extend(rows)
-        return real(rows, ncols, labels)
+        return real(rows, ncols, levels)
 
     monkeypatch.setattr(engine, "sparse_kernel_basis", capture)
     solve()

@@ -5,18 +5,19 @@ from math import comb, lcm
 import pytest
 
 from bianchi_integrals import nullspace
-from bianchi_integrals.engine import assemble_system, kernel_basis
+from bianchi_integrals.engine import _vector_to_poly, assemble_system, kernel_basis
+from bianchi_integrals.multipoly import MultiPoly, leading_exponents
 from bianchi_integrals.nullspace import (
     PIVOT_RULE,
     PRIME,
-    _components,
     _diagonal_split,
-    _join,
     _stacked_full_rank,
+    _trees,
     sparse_kernel_basis,
 )
 from bianchi_integrals.vectorfields import BIANCHI_TABLE
 
+import oracle
 from conftest import connected_blocks, model_fields
 from oracle import dense_kernel, dense_rank
 
@@ -178,45 +179,46 @@ def test_full_rank_over_q_but_not_mod_p_falls_back():
     assert basis == []
 
 
-@pytest.mark.parametrize("rows, ncols, labels", [
+@pytest.mark.parametrize("rows, ncols, levels", [
     ([{0: Fraction(1, 2)}, {0: 1}], 1, None),  # a tall block: the mod-p path
     ([{0: Fraction(1, 2), 1: 1}], 2, None),  # a wide block: the exact path
-    # below the diagonal of a labelled system, where no entry is stored
-    ([{0: 1}, {0: Fraction(1, 2), 1: 1}], 2, ([(0, "a"), (1, "b")], [(0, "a"), (1, "b")])),
+    # below the diagonal of a levelled system, where no entry is stored
+    ([{0: 1}, {0: Fraction(1, 2), 1: 1}], 2, ([0, 1], [0, 1])),
 ])
-def test_fraction_entry_raises_type_error(rows, ncols, labels):
+def test_fraction_entry_raises_type_error(rows, ncols, levels):
     # Stored into the int64 array of the mod-p path, numpy would truncate a
     # Fraction and so reduce another matrix; the rows must be integers.
     with pytest.raises(TypeError):
-        sparse_kernel_basis(rows, ncols, labels)
+        sparse_kernel_basis(rows, ncols, levels)
 
 
 # -- the block-triangular certificate -------------------------------------------
 
 
 def _labelled_system(rng, above):
-    """A random block lower-triangular system: (matrix, labels, whether an
+    """A random block lower-triangular system: (matrix, levels, whether an
     entry lies above the diagonal blocks), with one such entry if `above`
-    and some other group allows it.
+    and some higher level allows it.
 
-    Each group has a level and a random diagonal block, singular at random
-    and at times with fewer rows than columns; rows also get random entries
-    in the columns of lower levels.  Rows and columns are shuffled.
+    Each block has an int level, often shared with other blocks, and a
+    random diagonal block, singular at random and at times with fewer rows
+    than columns; rows also get random entries in the columns of lower
+    levels.  Rows and columns are shuffled.
     """
-    groups = [(rng.randint(0, 3), g) for g in range(rng.randint(1, 5))]
-    shapes = [(rng.randint(0, 5), rng.randint(1, 4)) for _ in groups]
+    levels = [rng.randint(0, 3) for _ in range(rng.randint(1, 5))]
+    shapes = [(rng.randint(0, 5), rng.randint(1, 4)) for _ in levels]
     ncols = sum(w for _, w in shapes)
     order = list(range(ncols))
     rng.shuffle(order)
-    col_labels, cols_of, start = [None] * ncols, [], 0
-    for label, (_, width) in zip(groups, shapes):
+    col_levels, cols_of, start = [None] * ncols, [], 0
+    for level, (_, width) in zip(levels, shapes):
         cols_of.append(order[start:start + width])
         for c in cols_of[-1]:
-            col_labels[c] = label
+            col_levels[c] = level
         start += width
-    matrix, row_labels = [], []
-    for label, cols, (nrows, width) in zip(groups, cols_of, shapes):
-        lower = [c for c in range(ncols) if col_labels[c][0] < label[0]]
+    matrix, row_levels = [], []
+    for level, cols, (nrows, width) in zip(levels, cols_of, shapes):
+        lower = [c for c in range(ncols) if col_levels[c] < level]
         for brow in _random_block(rng, nrows, width):
             row = [Fraction(0)] * ncols
             for c, v in zip(cols, brow):
@@ -224,22 +226,22 @@ def _labelled_system(rng, above):
             for c in rng.sample(lower, min(len(lower), rng.randint(0, 3))):
                 row[c] = Fraction(rng.randint(-9, 9))
             matrix.append(row)
-            row_labels.append(label)
-    # a column of another group at the row's level or above
-    pairs = [(i, c) for i, label in enumerate(row_labels) for c in range(ncols)
-             if col_labels[c] != label and col_labels[c][0] >= label[0]]
+            row_levels.append(level)
+    # a column of a level above the row's
+    pairs = [(i, c) for i, level in enumerate(row_levels) for c in range(ncols)
+             if col_levels[c] > level]
     above = above and bool(pairs)
     if above:
         i, c = rng.choice(pairs)
         matrix[i][c] = Fraction(rng.choice([-3, -1, 1, 2]))
     shuffled = list(range(len(matrix)))
     rng.shuffle(shuffled)
-    return [matrix[i] for i in shuffled], (col_labels, [row_labels[i] for i in shuffled]), above
+    return [matrix[i] for i in shuffled], (col_levels, [row_levels[i] for i in shuffled]), above
 
 
-def _diagonal_pieces(rows, ncols, labels):
+def _diagonal_pieces(rows, ncols, levels):
     """The connected pieces of the diagonal blocks, or None if an entry lies above them."""
-    split = _diagonal_split(rows, labels)
+    split = _diagonal_split(rows, levels)
     return None if split is None else connected_blocks(split[0], ncols)
 
 
@@ -247,12 +249,12 @@ def test_labelled_systems_match_oracle_random():
     rng = random.Random(26)
     seen = set()
     for trial in range(300):
-        matrix, labels, above = _labelled_system(rng, trial % 3 == 0)
-        ncols = len(labels[0])
+        matrix, levels, above = _labelled_system(rng, trial % 3 == 0)
+        ncols = len(levels[0])
         rows = to_sparse(matrix)
-        pieces = _diagonal_pieces(rows, ncols, labels)
+        pieces = _diagonal_pieces(rows, ncols, levels)
         assert (pieces is None) == above
-        basis, rank = sparse_kernel_basis(rows, ncols, labels)
+        basis, rank = sparse_kernel_basis(rows, ncols, levels)
         assert rank == dense_rank(matrix)
         assert [list(v) for v in basis] == dense_kernel(matrix, ncols)
         if pieces is not None:
@@ -264,25 +266,25 @@ def test_labelled_systems_match_oracle_random():
 def test_entry_above_the_diagonal_fails_the_order_check():
     # Each diagonal block alone is [1], but the entry of row 0 in column 1
     # lies above them, and the whole matrix is singular.
-    labels = ([(1, "a"), (2, "b")], [(1, "a"), (2, "b")])
+    levels = ([1, 2], [1, 2])
     rows = [{0: 1, 1: 1}, {0: 1, 1: 1}]
-    assert _diagonal_split(rows, labels) is None
-    assert sparse_kernel_basis(rows, 2, labels) == ([(Fraction(-1), Fraction(1))], 1)
+    assert _diagonal_split(rows, levels) is None
+    assert sparse_kernel_basis(rows, 2, levels) == ([(Fraction(-1), Fraction(1))], 1)
     assert dense_rank([[1, 1], [1, 1]]) == 1
 
 
 @pytest.mark.parametrize("rows, rank", [
-    # group "a" has no rows, but the rows of "b" below it fix column 0
+    # level 1 has no rows, but the rows of level 2 above it fix column 0
     ([{0: 1, 1: 1}, {1: 1}], 2),
-    # group "a" is singular and the kernel reaches into group "b"
+    # level 1 is singular and the kernel reaches into level 2
     ([{0: 2, 1: 1}], 1),
 ])
 def test_singular_diagonal_block_falls_back(rows, rank):
-    labels = ([(1, "a"), (2, "b")], [(2, "b")] * len(rows))
-    pieces = _diagonal_pieces(rows, 2, labels)
+    levels = ([1, 2], [2] * len(rows))
+    pieces = _diagonal_pieces(rows, 2, levels)
     assert pieces is not None and not all(_stacked_full_rank(pieces))
     matrix = [[Fraction(row.get(c, 0)) for c in range(2)] for row in rows]
-    basis, got = sparse_kernel_basis(rows, 2, labels)
+    basis, got = sparse_kernel_basis(rows, 2, levels)
     assert got == rank == dense_rank(matrix)
     assert [list(v) for v in basis] == dense_kernel(matrix, 2)
 
@@ -291,7 +293,7 @@ def test_failed_pieces_take_the_exact_path_by_their_components_random(monkeypatc
     # Joining the links below the diagonal to the pieces' union-find gives
     # the components of the whole matrix, and exactly those that hold a
     # failed piece reach the exact path, in one call: their columns in
-    # ascending order and their rows in input order.  Without labels the
+    # ascending order and their rows in input order.  Without levels the
     # matrix is its own diagonal with no links, so its pieces are its
     # components, and exactly the failed ones reach the exact path.
     rng = random.Random(27)
@@ -304,12 +306,12 @@ def test_failed_pieces_take_the_exact_path_by_their_components_random(monkeypatc
     exact_kernel = nullspace._exact_kernel
     monkeypatch.setattr(nullspace, "_exact_kernel", recording_exact_kernel)
     coupled = unlabelled = 0
-    several = {True: 0, False: 0}  # systems that reach two or more components, by labels
+    several = {True: 0, False: 0}  # systems that reach two or more components, by levels
     for _ in range(300):
-        matrix, labels, _ = _labelled_system(rng, False)
-        ncols = len(labels[0])
+        matrix, levels, _ = _labelled_system(rng, False)
+        ncols = len(levels[0])
         rows = to_sparse(matrix)
-        for given in (labels, None):
+        for given in (levels, None):
             diagonal, links = (rows, []) if given is None else _diagonal_split(rows, given)
             pieces = connected_blocks(diagonal, ncols)
             verdicts = _stacked_full_rank(pieces)
@@ -317,10 +319,9 @@ def test_failed_pieces_take_the_exact_path_by_their_components_random(monkeypatc
             if not failed:
                 continue
             root = list(range(ncols))
-            _join(root, diagonal)
-            _join(root, links)
-            components = _components(root, rows)
-            assert components == connected_blocks(rows, ncols)
+            _trees(root, diagonal)
+            components = connected_blocks(rows, ncols)
+            assert [cols for cols, _ in _trees(root, links)] == [cols for cols, _ in components]
             reached = [b for b in components if any(not set(cols).isdisjoint(b[0]) for cols in failed)]
             columns = sorted(c for cols, _ in reached for c in cols)
             exact_calls.clear()
@@ -382,11 +383,11 @@ def test_row_order_leaves_the_kernels_of_the_models():
     for tag in ("I", "II"):
         for m in (2, 3, 4):
             system = assemble_system(model_fields(tag, None), m)
-            expected = sparse_kernel_basis(system.rows, system.ncols, system.labels)
+            expected = sparse_kernel_basis(system.rows, system.ncols, system.levels)
             order = list(range(system.nrows))
             random.Random(m).shuffle(order)
-            labels = (system.labels[0], [system.labels[1][i] for i in order])
-            assert sparse_kernel_basis([system.rows[i] for i in order], system.ncols, labels) == expected
+            levels = (system.levels[0], [system.levels[1][i] for i in order])
+            assert sparse_kernel_basis([system.rows[i] for i in order], system.ncols, levels) == expected
 
 
 def _rank_mod_p(matrix):
@@ -436,12 +437,50 @@ def test_stacked_verdicts_match_rank_mod_p_per_piece_random():
 @pytest.mark.parametrize("tag", sorted(BIANCHI_TABLE))
 @pytest.mark.parametrize("k", [Fraction(1, 2), None], ids=["k=1/2", "symbolic"])
 def test_certified_kernels_of_the_models(tag, k):
-    # The order holds on every system, and the labelled kernel is the
-    # unlabelled one.  TestKernelVsOracle holds both to the dense oracle up to
+    # The order holds on every system, and the levelled kernel is the
+    # unlevelled one.  TestKernelVsOracle holds both to the dense oracle up to
     # degree 3; from degree 5 on the oracle takes minutes a system.
     fields = model_fields(tag, k)
     for m in range(1, 7):
         system = assemble_system(fields, m)
-        assert _diagonal_split(system.rows, system.labels) is not None
-        assert (sparse_kernel_basis(system.rows, system.ncols, system.labels)
+        assert _diagonal_split(system.rows, system.levels) is not None
+        assert (sparse_kernel_basis(system.rows, system.ncols, system.levels)
                 == sparse_kernel_basis(system.rows, system.ncols))
+
+
+@pytest.mark.parametrize("tag", sorted(BIANCHI_TABLE))
+@pytest.mark.parametrize("k", [Fraction(0), Fraction(1, 2), Fraction(3, 7), None],
+                         ids=["k=0", "k=1/2", "k=3/7", "symbolic"])
+def test_a_level_splits_by_alpha_on_the_models(tag, k):
+    # A column's level is max(|alpha|, 2) for its x1..x3 exponent alpha.
+    # Above level 2 the diagonal of a row holds only columns of the row's
+    # own alpha, so each diagonal piece there holds one alpha, and the
+    # levels alone give the pieces that (level, alpha) labels would.
+    fields = model_fields(tag, k)
+    for m in range(1, 9):
+        system = assemble_system(fields, m)
+        col_levels, row_levels = system.levels
+        diagonal, _ = _diagonal_split(system.rows, system.levels)
+        alphas = leading_exponents(system.outputs, len(system.columns[0]), 3)
+        for row, alpha, level in zip(diagonal, alphas, row_levels):
+            assert level == 2 or all(system.columns[c][:3] == alpha for c in row)
+        for cols, _ in connected_blocks(diagonal, system.ncols):
+            if col_levels[cols[0]] >= 3:
+                assert len({system.columns[c][:3] for c in cols}) == 1
+
+
+@pytest.mark.parametrize("tag, dim", [("IX", 0), ("II", 1)])
+def test_a_field_that_breaks_the_order_takes_the_unordered_path(tag, dim):
+    # x4 x5 d/dx1 lowers |alpha| by 1, so from degree 3 on a column at level
+    # 3 or more has an entry in a row of a lower level, above the diagonal;
+    # up to degree 2 every column is at level 2.  The kernel must then come
+    # from the whole matrix.
+    X = model_fields(tag, Fraction(1, 2))[0]
+    x4, x5 = MultiPoly.variable(6, 3), MultiPoly.variable(6, 4)
+    fields = [(X[0] + x4 * x5,) + X[1:]]
+    for m in range(1, 5):
+        system = assemble_system(fields, m)
+        assert (_diagonal_split(system.rows, system.levels) is None) == (m >= 3)
+        oracle_vectors, columns = oracle.kernel_oracle(fields, m)
+        assert kernel_basis(fields, m) == [_vector_to_poly(v, columns) for v in oracle_vectors]
+    assert len(oracle_vectors) == dim
