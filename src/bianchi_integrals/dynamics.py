@@ -142,7 +142,7 @@ def integrate(model: BianchiModel, x0: Sequence[float], t_end: float, tol: float
             else:
                 rejected += 1
                 h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
-    return Trajectory(np.array(ts), np.vstack(ys), status, accepted, rejected)
+    return Trajectory(np.array(ts), np.array(ys), status, accepted, rejected)
 
 
 # -- Invariants ----------------------------------------------------------------

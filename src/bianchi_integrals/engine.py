@@ -7,8 +7,8 @@ at, two at symbolic k.  X(P) is affine in k, so it is zero for every k
 exactly when it is zero at both k of SYMBOLIC_K = (0, 1).  That is the
 common kernel of X(1), which has no (k-1)/4 terms, and V = d/dx4 + d/dx5
 + d/dx6: X(1) - X(0) = (1/4) F (0, 0, 0, 1, 1, 1) is G V with G = F/4,
-and G V(P) = 0 exactly when V(P) = 0, as Q[x] has no zero divisors.  That
-factorisation is checked on the fields themselves.  The system is that of
+and G V(P) = 0 exactly when V(P) = 0, as Q[x] has no zero divisors.  The
+difference of the fields is checked to be G V.  The system is that of
 the one field X(1) + V: X(1) is quadratic and V constant, so on a
 homogeneous P their images have degrees m+1 and m-1 and are zero together.
 The entries are Python ints.  Kernel bases are recomputed canonically and
@@ -93,33 +93,22 @@ def _rows(images: Iterable[MultiPoly]) -> Tuple[List[int], List[SparseRow]]:
 
 
 def _direction(D: Field) -> Field:
-    """The constant field V with D = G V for a polynomial G; D(P) = G V(P)
-    is 0 exactly when V(P) is.
-
-    D is G V exactly when every nonzero component is a rational multiple
-    of one polynomial G, the first of them, and V holds those multiples.
-    A zero D is its own V; any other D raises ValueError.
-    """
-    nonzero = [comp for comp in D if comp]
-    if not nonzero:
-        return D
-    G = nonzero[0]
-    mono, g = next(iter(G.terms.items()))
-    scales = [Fraction(comp.terms.get(mono, 0)) / g for comp in D]
-    if any(comp.terms != {m: s * c for m, c in G.terms.items() if s}
-           for comp, s in zip(D, scales)):
-        raise ValueError("the difference of the two fields is not G times a constant field")
-    return tuple(MultiPoly.constant(len(D), s) for s in scales)
+    """V = d/dx4 + d/dx5 + d/dx6 for D = (0, 0, 0, G, G, G), zero when G is:
+    D(P) = G V(P) is 0 exactly when V(P) is.  Any other D raises ValueError."""
+    G = D[3]
+    if any(D[:3]) or D[3:] != (G, G, G):
+        raise ValueError("the difference of the two fields is not G (d/dx4 + d/dx5 + d/dx6)")
+    return D[:3] + (MultiPoly.constant(G.nvars, 1 if G else 0),) * 3
 
 
 def assemble_system(fields: Sequence[Field], m: int) -> LinearSystem:
     """Linear system whose kernel is {degree-m homogeneous first integrals of every field}.
 
-    Two fields X_0, X_1 have the common kernel of X_1 and
-    V = _direction(X_1 - X_0), which are X(1) and d/dx4 + d/dx5 + d/dx6
-    for the fields at SYMBOLIC_K = (0, 1).  The system is that of the one
-    field X_1 + V: a homogeneous P has images of degrees m+1 and m-1 under
-    the quadratic X(1) and the constant V, so the sum is 0 exactly when both
+    Two fields X_0, X_1 have the common kernel of X_1 and V = d/dx4 + d/dx5
+    + d/dx6 once _direction has checked that X_1 - X_0 is G V, as it is for
+    the fields at SYMBOLIC_K = (0, 1).  The system is that of the one field
+    X_1 + V: a homogeneous P has images of degrees m+1 and m-1 under the
+    quadratic X(1) and the constant V, so the sum is 0 exactly when both
     are, and its rows are theirs.  Both keep the x1..x3 exponent of a
     monomial or raise it by 2, as the filtration levels ask.  The field,
     cleared by _cleared, gives one Lie derivative per ansatz monomial, so
@@ -180,7 +169,7 @@ def kernel_basis(fields: Sequence[Field], m: int) -> List[MultiPoly]:
     vectors, _rank = sparse_kernel_basis(system.rows, system.ncols, system.levels)
     basis = [_vector_to_poly(v, system.columns) for v in vectors]
     # In integers: d*X(e*P) = d*e*X(P) with d, e > 0, so the verdict is the same.
-    integral = [_cleared(X) for X in fields]
+    integral = [_cleared(X) for X in fields] if basis else []
     for poly in basis:
         (scaled,) = _cleared([poly])
         for X in integral:

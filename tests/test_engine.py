@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bianchi_integrals import dynamics, engine
+from bianchi_integrals.coefficients import SYMBOLIC_K
 from bianchi_integrals.engine import (
     RANK_POINT,
     SoundnessError,
@@ -94,10 +95,20 @@ class TestAssembleSystem:
         x4 = MultiPoly.variable(6, 3)
         X1 = tuple(comp + x4 * x4 if i == 3 else comp
                    for i, comp in enumerate(build_bianchi("II", Fraction(1, 2))))
-        with pytest.raises(ValueError):
-            engine._direction(tuple(b - a for a, b in zip(X0, X1)))
+        # Types II and IX at SYMBOLIC_K with (k - 1)/3 F in X_6 in place of
+        # (k - 1)/4 F: the difference (0, 0, 0, F/4, F/4, F/3) is F/4 times
+        # the constant field (0, 0, 0, 1, 1, 4/3), not times d/dx4 + d/dx5 + d/dx6.
+        thirds = []
+        for tag in ("II", "IX"):
+            F = build_F(*BIANCHI_TABLE[tag])
+            thirds.append([tuple(comp + Fraction(k - 1, 12) * F if i == 5 else comp
+                                 for i, comp in enumerate(build_bianchi(tag, k)))
+                           for k in SYMBOLIC_K])
+        for Y0, Y1 in [(X0, X1)] + thirds:
+            with pytest.raises(ValueError):
+                engine._direction(tuple(b - a for a, b in zip(Y0, Y1)))
         three = list(model_fields("I", None)) + [build_bianchi("I", Fraction(1, 2))]
-        for fields in ([X0, X1], three):
+        for fields in [[X0, X1], three] + thirds:
             for build in (assemble_system, kernel_basis):
                 with pytest.raises(ValueError):
                     build(fields, 2)
