@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .multipoly import Monomial, MultiPoly, leading_exponents, monomials, unpack
+from .multipoly import MultiPoly, leading_exponents, monomials, pack, unpack
 from .nullspace import PIVOT_RULE, SparseRow, echelon, sparse_kernel_basis
 from .vectorfields import (
     BIANCHI_TABLE,
@@ -41,13 +41,9 @@ from .vectorfields import (
     polynomial_integrals,
 )
 
+
 class SoundnessError(RuntimeError):
     """A kernel polynomial failed the independent Lie-derivative re-check."""
-
-
-def enumerate_monomials(nvars: int, degree: int) -> List[Monomial]:
-    """All degree-m exponent tuples, graded-lex order (largest first)."""
-    return [unpack(key, nvars) for key in monomials(nvars, degree)]
 
 
 @dataclass
@@ -56,11 +52,11 @@ class LinearSystem:
 
     Rows are ordered by output monomial, largest first, as _rows sorts
     them, and columns follow the ansatz monomial order.  The rows are
-    Python ints, and outputs holds the packed key of each row's output
-    monomial.
+    Python ints.  columns holds the packed key of each ansatz monomial,
+    and outputs that of each row's output monomial.
     """
 
-    columns: Tuple[Monomial, ...]
+    columns: List[int]
     outputs: List[int]
     rows: List[SparseRow]
 
@@ -75,9 +71,9 @@ class LinearSystem:
     @property
     def levels(self) -> Tuple[List[int], List[int]]:
         """The filtration level of each column and of each row, for
-        sparse_kernel_basis; only the x1..x3 exponents of the outputs are decoded."""
-        return ([_level(c[:3]) for c in self.columns],
-                list(map(_level, leading_exponents(self.outputs, len(self.columns[0]), 3))))
+        sparse_kernel_basis; only the x1..x3 exponents are decoded."""
+        return tuple([_level(a) for a in leading_exponents(keys, NVARS, 3)]
+                     for keys in (self.columns, self.outputs))
 
 
 def _rows(images: Iterable[MultiPoly]) -> Tuple[List[int], List[SparseRow]]:
@@ -127,7 +123,7 @@ def assemble_system(fields: Sequence[Field], m: int) -> LinearSystem:
     keys = monomials(nvars, m)
     # A generator, so each image is dropped once its rows are read.
     outputs, rows = _rows(lie_derivative(X, MultiPoly._of(nvars, {key: 1})) for key in keys)
-    return LinearSystem(tuple(unpack(key, nvars) for key in keys), outputs, rows)
+    return LinearSystem(keys, outputs, rows)
 
 
 def _cleared(polys: Sequence[MultiPoly]) -> List[MultiPoly]:
@@ -136,9 +132,9 @@ def _cleared(polys: Sequence[MultiPoly]) -> List[MultiPoly]:
     return [p.map_coefficients(lambda c: int(c * d)) for p in polys]
 
 
-def _vector_to_poly(vec: Sequence[Fraction], columns: Sequence[Monomial]) -> MultiPoly:
-    nvars = len(columns[0])
-    poly = MultiPoly(nvars, {m: c for m, c in zip(columns, vec) if c})
+def _vector_to_poly(vec: Sequence[Fraction], columns: Sequence[int]) -> MultiPoly:
+    """The polynomial with coefficient vec[j] on the monomial of key columns[j]."""
+    poly = MultiPoly._of(NVARS, dict(zip(columns, vec)))
     if poly:
         poly = poly / poly.leading_coefficient()
     return poly
@@ -273,8 +269,8 @@ def _gradient_rows(tag: str, k: Fraction) -> List[List[Fraction]]:
 def independence_rank(tag: str, k: Fraction) -> Tuple[int, int]:
     """Exact rank of _gradient_rows(tag, k), each as the linear form row . x, and their number."""
     rows = _gradient_rows(tag, k)
-    units = enumerate_monomials(NVARS, 1)
-    return _rank([MultiPoly(NVARS, dict(zip(units, row))) for row in rows]), len(rows)
+    units = monomials(NVARS, 1)
+    return _rank([MultiPoly._of(NVARS, dict(zip(units, row))) for row in rows]), len(rows)
 
 
 # -- Lemma analyzers (PDEs in x4, x5, x6) -------------------------------------
@@ -285,8 +281,8 @@ def independence_rank(tag: str, k: Fraction) -> Tuple[int, int]:
 
 
 def _transport_kernel(linear: MultiPoly, k: Fraction, m: int,
-                      extra: List[MultiPoly]) -> Tuple[List[Monomial], List[Tuple[Fraction, ...]]]:
-    """The degree-m monomials g and the canonical kernel of the columns
+                      extra: List[MultiPoly]) -> Tuple[List[int], List[Tuple[Fraction, ...]]]:
+    """The keys of the degree-m monomials g and the canonical kernel of the columns
     linear * g + (k-1)/4 F123 (g_4 + g_5 + g_6), one per g, then extra.
 
     One _cleared call scales linear, (k-1)/4 F123 and extra by one d, so
@@ -294,12 +290,9 @@ def _transport_kernel(linear: MultiPoly, k: Fraction, m: int,
     """
     linear, cF, *extra = _cleared([linear, Fraction(k - 1, 4) * build_F(0, 0, 0), *extra])
     transport = (MultiPoly(NVARS),) * 3 + (cF,) * 3
-    monos = [(0, 0, 0) + g for g in enumerate_monomials(3, m)]
-    images = []
-    for mono in monos:
-        g = MultiPoly(NVARS, {mono: 1})
-        images.append(linear * g + lie_derivative(transport, g))
-    images += extra
+    monos = [pack((0, 0, 0) + unpack(key, 3)) for key in monomials(3, m)]
+    gs = [MultiPoly._of(NVARS, {mono: 1}) for mono in monos]
+    images = [linear * g + lie_derivative(transport, g) for g in gs] + extra
     vectors, _ = sparse_kernel_basis(_rows(images)[1], len(images))
     return monos, vectors
 
@@ -330,7 +323,7 @@ def lemma_dificil_solve(k: Fraction, n: int) -> Tuple[List[MultiPoly], List[Tupl
     v = y[0] - y[2]  # x4 - x6
     h_x5 = [((u ** i) * (v ** (n - i))).partial_derivative(4) for i in range(n + 1)]
     g_monos, vectors = _transport_kernel(2 * (y[0] - y[1] + y[2]), k, n - 2, h_x5)
-    g_basis = [MultiPoly(NVARS, dict(zip(g_monos, vec))) for vec in vectors]
+    g_basis = [MultiPoly._of(NVARS, dict(zip(g_monos, vec))) for vec in vectors]
     return g_basis, [vec[len(g_monos):] for vec in vectors]
 
 

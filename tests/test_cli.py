@@ -384,6 +384,39 @@ class TestRepeatedKernelVector:
         assert json.loads(out)["pass"] is False
 
 
+class TestAThirdOfFInX6AtAFixedK:
+    # (k - 1)/3 F in X6 in place of (k - 1)/4 F, at k = 1/2.  verify fails on
+    # II and IX.  find on II still reads dimensions 1, 1, but its kernel is no
+    # longer the span of x5 - x6.  IX has no integral up to degree 2 either
+    # way, so find passes there: only verify catches this field on IX.
+    @pytest.fixture(autouse=True)
+    def thirds(self, monkeypatch):
+        build = vectorfields.build_bianchi
+
+        def thirds(tag, k):
+            F = vectorfields.build_F(*vectorfields.BIANCHI_TABLE[tag])
+            return tuple(comp + Fraction(k - 1, 12) * F if i == 5 else comp
+                         for i, comp in enumerate(build(tag, k)))
+
+        monkeypatch.setattr(vectorfields, "build_bianchi", thirds)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["verify", "--model", "II", "--k", "1/2"], 2),
+        (["verify", "--model", "IX", "--k", "1/2"], 2),
+        (["find", "--model", "IX", "--k", "1/2", "--max-degree", "2"], 0),
+    ])
+    def test_exit_code(self, capsys, argv, code):
+        assert run(capsys, argv)[0] == code
+
+    def test_find_on_II_keeps_the_dimensions_but_not_the_kernel(self, capsys):
+        code, out, err = run(capsys, ["find", "--model", "II", "--k", "1/2", "--max-degree", "2"])
+        assert (code, err) == (2, "")
+        payload = json.loads(out)
+        assert [d["dim"] for d in payload["degrees"]] == [1, 1]
+        assert payload["degrees"][0]["basis"] != ["x5 - x6"]
+        assert payload["pass"] is False
+
+
 class TestUsageErrors:
     def test_unknown_model_exits_one(self, capsys):
         code, _, err = run(capsys, ["find", "--model", "X"])

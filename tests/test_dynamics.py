@@ -163,6 +163,72 @@ class TestIntegrate:
         assert np.linalg.norm(traj.x[-1] - ref.x[-1]) <= 1e-4 * np.linalg.norm(ref.x[-1])
 
 
+def _type_I_constants(x0):
+    """u = x4 - x5, v = x4 - x6, s0 = x4 + x5 + x6 and Delta = u^2 - uv + v^2 at x0."""
+    x4, x5, x6 = x0[3:]
+    u, v = x4 - x5, x4 - x6
+    return u, v, x4 + x5 + x6, u * u - u * v + v * v
+
+
+def _type_I_orbit(x0, k, t):
+    """Type I's exact orbit at time t.  u and v are constant, and
+    s = x4 + x5 + x6 solves s' = (1 - k)/4 (s^2 - 4 Delta).  For i <= 3,
+    x_i = x_i(0) e^(lambda_i t) |(s^2 - 4 Delta)/(s0^2 - 4 Delta)|^(2/(3(1 - k)))."""
+    u, v, s0, delta = _type_I_constants(x0)
+    a = 2 * math.sqrt(delta)
+    e = (s0 - a) / (s0 + a) * math.exp((1 - k) * a / 2 * t)
+    s = a * (1 + e) / (1 - e)
+    scale = abs((s * s - 4 * delta) / (s0 * s0 - 4 * delta)) ** (2 / (3 * (1 - k)))
+    lam = (-2 * (u + v) / 3, (4 * u - 2 * v) / 3, (4 * v - 2 * u) / 3)
+    head = [xi * math.exp(li * t) * scale for xi, li in zip(x0[:3], lam)]
+    return np.array(head + [(s + u + v) / 3, (s - 2 * u + v) / 3, (s + u - 2 * v) / 3])
+
+
+def _type_I_blowup_time(x0, k):
+    """t* = log((s0 + 2 sqrt Delta)/(s0 - 2 sqrt Delta))/((1 - k) sqrt Delta), for s0 > 2 sqrt Delta."""
+    _, _, s0, delta = _type_I_constants(x0)
+    r = math.sqrt(delta)
+    return math.log((s0 + 2 * r) / (s0 - 2 * r)) / ((1 - k) * r)
+
+
+class TestTypeIExactOrbit:
+    """integrate against type I's closed-form orbit from X0_GENERIC at
+    k = 1/2, which blows up at t* = 1.4917: the true global error, not an
+    invariant's drift."""
+
+    MODEL = BianchiModel("I", Fraction(1, 2))
+
+    def global_error(self, tol):
+        """max over the coordinates of |error|/(1 + |x|) at t = 1."""
+        traj = integrate(self.MODEL, X0_GENERIC, 1.0, tol)
+        assert traj.ok
+        exact = _type_I_orbit(X0_GENERIC, 0.5, traj.t[-1])
+        return np.max(np.abs(traj.x[-1] - exact) / (1 + np.abs(exact)))
+
+    def test_closed_form_solves_the_field(self):
+        C, h = coefficient_matrix(self.MODEL), 1e-6
+        for t in (0.0, 0.7, 1.4):
+            x = _type_I_orbit(X0_GENERIC, 0.5, t)
+            slope = (_type_I_orbit(X0_GENERIC, 0.5, t + h) - _type_I_orbit(X0_GENERIC, 0.5, t - h)) / (2 * h)
+            assert np.allclose(slope, rhs(C, x), rtol=1e-6, atol=1e-6)
+        assert np.array_equal(_type_I_orbit(X0_GENERIC, 0.5, 0.0), np.array(X0_GENERIC))
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+    def test_global_error_is_within_twice_the_tolerance(self, tol):
+        assert self.global_error(tol) <= 2 * tol
+
+    def test_halving_the_tolerance_lowers_the_global_error(self):
+        # Criterion 7's rule, on the true error rather than on a drift.
+        assert 1.5 * self.global_error(5e-13) <= self.global_error(1e-12)
+
+    def test_an_orbit_past_the_blowup_stops_at_it(self):
+        t_star = _type_I_blowup_time(X0_GENERIC, 0.5)
+        assert t_star == pytest.approx(1.491669994709865, rel=1e-14)
+        traj = integrate(self.MODEL, X0_GENERIC, 2.0, 1e-12)
+        assert traj.status == "step_underflow"
+        assert abs(traj.t[-1] - t_star) <= 1e-9 * t_star
+
+
 class TestTableau:
     """The float Dormand-Prince tableau against its exact rationals, which are
     read back from the floats (every denominator is below 10^6)."""

@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bianchi_integrals.multipoly import W, MultiPoly, leading_exponents, pack, unpack
+from bianchi_integrals.multipoly import W, MultiPoly, leading_exponents, monomials, pack, unpack
 
 from conftest import exponent_terms, homogeneous_parts, random_poly
 
@@ -164,6 +165,27 @@ class TestMonomialOrder:
 
     def test_x1_beats_x2(self):
         assert pack((1, 0, 0, 0, 0, 0)) > pack((0, 1, 0, 0, 0, 0))
+
+
+class TestMonomials:
+    def test_count_is_binomial(self):
+        for n, d in ((6, 1), (6, 2), (6, 3), (6, 4), (3, 5)):
+            keys = monomials(n, d)
+            assert len(keys) == math.comb(n + d - 1, d)
+            assert all(sum(unpack(key, n)) == d for key in keys)
+            assert len(set(keys)) == len(keys)
+
+    def test_ordered_descending(self):
+        keys = monomials(6, 3)
+        assert keys == sorted(keys, reverse=True)
+        assert unpack(keys[0], 6) == (3, 0, 0, 0, 0, 0)
+        assert unpack(keys[-1], 6) == (0, 0, 0, 0, 0, 3)
+
+    def test_invalid_arguments(self):
+        with pytest.raises(ValueError):
+            monomials(0, 2)
+        with pytest.raises(ValueError):
+            monomials(6, -1)
 
 
 # Exponents small enough that n of them, and the sum of two such tuples,
